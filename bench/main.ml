@@ -838,6 +838,100 @@ let n1_net ?(quick = false) () =
         ])
     cases
 
+(* The trace pipeline a traced net job pays around its run: create
+   the memory sink, export it to JSONL, load the file back and build
+   the trace-report analysis. Timings are the best of [reps]. Export
+   and reload report minor words per event, which are deterministic:
+   a per-event tree or copy coming back shows up exactly. The sink
+   reports minor plus direct major words: a large ring goes straight
+   to the major heap. *)
+type pipeline = {
+  events : int;
+  sink_ms : float;
+  run_ms : float;
+  export_ms : float;
+  load_ms : float;
+  analyze_ms : float;
+  sink_words : float;
+  export_words : float;
+  load_words : float;
+}
+
+(* minor plus direct major words so far; [Gc.minor_words] is exact at
+   any point, the minor count in [Gc.counters] only moves at
+   collections *)
+let allocated_words () =
+  let s = Gc.quick_stat () in
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* [f ()], its wall time in ms and the minor words it allocated *)
+let measured f =
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  let dt = (Unix.gettimeofday () -. t0) *. 1e3 in
+  (r, dt, Gc.minor_words () -. w0)
+
+let trace_pipeline ~n ~delta ~gst ~max_steps ~reps =
+  let file = Filename.temp_file "setsync_n1t" ".jsonl" in
+  let adversary = Adversary.gst_drop ~delta ~gst in
+  let once () =
+    (* the second reading prices the reading itself *)
+    let w0 = allocated_words () in
+    let w1 = allocated_words () in
+    let sink, sink_ms, _ = measured (fun () -> Events.memory ()) in
+    let sink_words = allocated_words () -. w1 -. (w1 -. w0) in
+    let _, run_ms, _ =
+      measured (fun () ->
+          Net_systems.run_ct ~obs:(Obs.create ~events:sink ()) ~initial_timeout:2 ~clients:n
+            ~adversary ~max_steps ())
+    in
+    let (), export_ms, export_words = measured (fun () -> Events.save_jsonl sink file) in
+    let loaded, load_ms, load_words = measured (fun () -> Setsync_obs.Analyze.load_jsonl file) in
+    let evs = match loaded with Ok evs -> evs | Error e -> failwith ("N1t reload: " ^ e) in
+    let report, analyze_ms, _ = measured (fun () -> Setsync_obs.Analyze.of_events evs) in
+    (match report with
+    | Ok { Setsync_obs.Analyze.critical = Some _; _ } -> ()
+    | Ok _ -> failwith "N1t: traced CT run has no critical path"
+    | Error e -> failwith ("N1t analysis: " ^ e));
+    let events = Events.recorded sink in
+    {
+      events;
+      sink_ms;
+      run_ms;
+      export_ms;
+      load_ms;
+      analyze_ms;
+      sink_words;
+      export_words = export_words /. float_of_int events;
+      load_words = load_words /. float_of_int events;
+    }
+  in
+  let best = ref (once ()) in
+  for _ = 2 to reps do
+    let p = once () in
+    let b = !best in
+    best :=
+      {
+        b with
+        sink_ms = Float.min b.sink_ms p.sink_ms;
+        run_ms = Float.min b.run_ms p.run_ms;
+        export_ms = Float.min b.export_ms p.export_ms;
+        load_ms = Float.min b.load_ms p.load_ms;
+        analyze_ms = Float.min b.analyze_ms p.analyze_ms;
+      }
+  done;
+  Sys.remove file;
+  !best
+
+let pp_pipeline_header () =
+  Fmt.pr "  %-3s %7s %10s %8s %8s %9s %8s %10s %12s %12s@." "n" "events" "sink words"
+    "sink ms" "run ms" "export ms" "load ms" "analyze ms" "export mw/ev" "reload mw/ev"
+
+let pp_pipeline_row n p =
+  Fmt.pr "  %-3d %7d %10.0f %8.3f %8.3f %9.3f %8.3f %10.3f %12.1f %12.1f@." n p.events
+    p.sink_words p.sink_ms p.run_ms p.export_ms p.load_ms p.analyze_ms p.export_words p.load_words
+
 (* N1t: causal-tracing overhead on the net backend. Same discipline as
    P9 but over the whole traced stack: the fast path (?obs absent)
    must not pay for lineage/attribution instrumentation it did not ask
@@ -881,6 +975,18 @@ let n1_trace_overhead ?(quick = false) () =
     (nop_overhead *. 100.);
   Fmt.pr "  full-trace overhead vs no obs: %.2f%% (informational)@."
     (traced_overhead *. 100.);
+  (* export-and-reload tier: one CT job's trace pipeline (gst_drop,
+     delta=1, gst=9, 200 steps per process); the guard pins the n=4
+     job's words per event *)
+  Fmt.pr "  trace pipeline per CT job (best of %d):@." reps;
+  pp_pipeline_header ();
+  let pipeline n =
+    let p = trace_pipeline ~n ~delta:1 ~gst:9 ~max_steps:(200 * n) ~reps in
+    pp_pipeline_row n p;
+    p
+  in
+  if not quick then List.iter (fun n -> ignore (pipeline n)) [ 2; 3 ];
+  let p4 = pipeline 4 in
   Results.add "N1t"
     [
       ("steps", Json.Int max_steps);
@@ -889,6 +995,13 @@ let n1_trace_overhead ?(quick = false) () =
       ("traced_steps_per_s", Json.Float traced);
       ("nop_overhead_fraction", Json.Float nop_overhead);
       ("traced_overhead_fraction", Json.Float traced_overhead);
+      ("pipeline_events", Json.Int p4.events);
+      ("sink_words", Json.Float p4.sink_words);
+      ("export_ms", Json.Float p4.export_ms);
+      ("load_ms", Json.Float p4.load_ms);
+      ("analyze_ms", Json.Float p4.analyze_ms);
+      ("export_minor_words_per_event", Json.Float p4.export_words);
+      ("reload_minor_words_per_event", Json.Float p4.load_words);
     ]
 
 (* N2: round-batched Netmem — amortized steps per routed register op,

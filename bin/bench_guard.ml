@@ -32,6 +32,14 @@
    memory-sink trace allocates lineage events per message and is
    reported informationally, not pinned.
 
+   The same row carries the export-and-reload tier: one fixed traced
+   CT job (n=4, 800 steps, ~3.2k events) written to JSONL and loaded
+   back. Its minor words per event are deterministic, so they are
+   pinned at the measured values plus 25% (export 65.6 -> ceiling 82,
+   reload 135.9 -> ceiling 170): a per-event Json tree copy, a
+   per-byte allocation in the parser or a string copy per field in
+   the writer trips it.
+
    Usage: bench_guard BENCH_quick.json *)
 
 module Json = Setsync_obs.Json
@@ -251,7 +259,21 @@ let () =
          steps/s informational)\n"
         (nop_overhead *. 100.)
         (max_nop_overhead *. 100.)
-        traced);
+        traced;
+      List.iter
+        (fun (field, label, ceiling) ->
+          match num row field with
+          | None -> fail "N1t: missing %s" field
+          | Some v when v > ceiling ->
+              fail "N1t: %s allocates %.1f minor words per event, past the %.1f ceiling" label v
+                ceiling
+          | Some v ->
+              Printf.printf "bench_guard: N1t %s ok (%.1f minor words/event, ceiling %.1f)\n"
+                label v ceiling)
+        [
+          ("export_minor_words_per_event", "JSONL export", 82.);
+          ("reload_minor_words_per_event", "JSONL reload", 170.);
+        ]);
   (* N2 microbench rows: the round-batching acceptance pins. Every
      batched row must come in at or under 1.5 steps per routed op (the
      measured values are ~1.0 at C=1 and ~0.4 at C=4, so the ceiling

@@ -101,31 +101,37 @@ type report = {
 
 (* ------------------------------------------------------- JSONL input *)
 
+(* The file is read once; each line is parsed where it sits. *)
 let load_jsonl path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec go lineno acc =
-        match In_channel.input_line ic with
-        | None -> Ok (List.rev acc)
-        | Some "" -> go (lineno + 1) acc
-        | Some line -> (
-            match Json.of_string line with
+  let text = In_channel.with_open_text path In_channel.input_all in
+  let len = String.length text in
+  let rec go pos lineno acc =
+    if pos >= len then Ok (List.rev acc)
+    else
+      let eol = Option.value (String.index_from_opt text pos '\n') ~default:len in
+      if eol = pos then go (eol + 1) (lineno + 1) acc
+      else
+        match Json.of_substring text ~pos ~len:(eol - pos) with
+        | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e)
+        | Ok j -> (
+            match Events.event_of_json j with
             | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e)
-            | Ok j -> (
-                match Events.event_of_json j with
-                | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e)
-                | Ok ev -> go (lineno + 1) (ev :: acc)))
-      in
-      go 1 [])
+            | Ok ev -> go (eol + 1) (lineno + 1) (ev :: acc))
+  in
+  go 0 1 []
 
 (* ------------------------------------------------------ DAG building *)
 
-let arg_int name (e : Events.event) = Option.bind (List.assoc_opt name e.args) Json.to_int
+(* [List.assoc] by [String.equal], not polymorphic compare: these
+   lookups run several times per event *)
+let rec arg name = function
+  | [] -> Json.Null
+  | (k, v) :: rest -> if String.equal k name then v else arg name rest
+
+let arg_int name (e : Events.event) = Json.to_int (arg name e.args)
 
 let arg_bool name (e : Events.event) =
-  match List.assoc_opt name e.args with Some (Json.Bool b) -> Some b | _ -> None
+  match arg name e.args with Json.Bool b -> Some b | _ -> None
 
 let of_events evs =
   let steps_by_proc : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
@@ -206,14 +212,15 @@ let of_events evs =
   match !err with
   | Some e -> Error e
   | None ->
-      let steps_of p =
-        match Hashtbl.find_opt steps_by_proc p with
-        | None -> [||]
-        | Some l ->
-            let a = Array.of_list !l in
-            Array.sort compare a;
-            a
-      in
+      (* each process's steps, ascending — sorted once *)
+      let sorted_steps = Hashtbl.create 16 in
+      Hashtbl.iter
+        (fun p l ->
+          let a = Array.of_list !l in
+          Array.sort Int.compare a;
+          Hashtbl.replace sorted_steps p a)
+        steps_by_proc;
+      let steps_of p = Option.value (Hashtbl.find_opt sorted_steps p) ~default:[||] in
       let procs =
         let stepped = Hashtbl.fold (fun p _ m -> max p m) steps_by_proc (-1) in
         let messaged = Hashtbl.fold (fun _ m acc -> max acc (max m.src m.dst)) msgs (-1) in
@@ -222,26 +229,28 @@ let of_events evs =
       let steps = Hashtbl.length proc_at in
       let msg_list =
         Hashtbl.fold (fun _ m acc -> m :: acc) msgs []
-        |> List.sort (fun a b -> compare a.mid b.mid)
+        |> List.sort (fun a b -> Int.compare a.mid b.mid)
       in
-      (* messages delivered to each proc, ascending delivery tick *)
+      let delivery m = match m.delivered_step with Some d -> d | None -> -1 in
+      (* messages delivered to each proc, ascending (delivery tick, mid) *)
       let delivered_to =
-        Array.make (max procs 1) ([] : msg list)
+        let lists = Array.make (max procs 1) [] in
+        List.iter
+          (fun m ->
+            if m.delivered_step <> None && m.dst >= 0 && m.dst < Array.length lists then
+              lists.(m.dst) <- m :: lists.(m.dst))
+          msg_list;
+        Array.map
+          (fun l ->
+            let a = Array.of_list l in
+            Array.sort
+              (fun a b ->
+                let c = Int.compare (delivery a) (delivery b) in
+                if c <> 0 then c else Int.compare a.mid b.mid)
+              a;
+            a)
+          lists
       in
-      List.iter
-        (fun m ->
-          match m.delivered_step with
-          | Some _ when m.dst < Array.length delivered_to ->
-              delivered_to.(m.dst) <- m :: delivered_to.(m.dst)
-          | _ -> ())
-        msg_list;
-      Array.iteri
-        (fun i l ->
-          delivered_to.(i) <-
-            List.sort
-              (fun a b -> compare (a.delivered_step, a.mid) (b.delivered_step, b.mid))
-              l)
-        delivered_to;
       let critical =
         match !stab with
         | None -> Ok None
@@ -251,26 +260,27 @@ let of_events evs =
               | Some p -> Ok p
               | None -> Error (Printf.sprintf "no runtime.step event at global %d" g)
             in
-            let prev_step p g =
-              let a = steps_of p in
+            (* index of the last element of ascending [a] whose key
+               satisfies [ok], or -1; [ok] holds on a prefix *)
+            let last_where a key ok =
               let rec search lo hi best =
                 if lo > hi then best
                 else
                   let mid = (lo + hi) / 2 in
-                  if a.(mid) < g then search (mid + 1) hi (Some a.(mid))
-                  else search lo (mid - 1) best
+                  if ok (key a.(mid)) then search (mid + 1) hi mid else search lo (mid - 1) best
               in
-              search 0 (Array.length a - 1) None
+              search 0 (Array.length a - 1) (-1)
+            in
+            let prev_step p g =
+              let a = steps_of p in
+              match last_where a Fun.id (fun s -> s < g) with -1 -> None | i -> Some a.(i)
             in
             let latest_delivery p g =
               (* latest message delivered to p at a tick <= g *)
-              let rec last best = function
-                | m :: rest when (match m.delivered_step with Some d -> d <= g | None -> false)
-                  ->
-                    last (Some m) rest
-                | _ -> best
-              in
-              if p < Array.length delivered_to then last None delivered_to.(p) else None
+              if p < 0 || p >= Array.length delivered_to then None
+              else
+                let a = delivered_to.(p) in
+                match last_where a delivery (fun d -> d <= g) with -1 -> None | i -> Some a.(i)
             in
             let rec walk p g acc =
               (* the gating dependency of step (p, g): the
@@ -360,21 +370,24 @@ let of_events evs =
         |> List.sort (fun a b -> compare (a.p_src, a.p_dst) (b.p_src, b.p_dst))
       in
       let per_proc =
-        List.init (max procs 0) (fun p ->
-            let received, recv_delay =
-              List.fold_left
-                (fun (c, d) m ->
-                  match m.delivered_step with
-                  | Some ds when m.dst = p -> (c + 1, d + ds - m.sent_step)
-                  | _ -> (c, d))
-                (0, 0) msg_list
-            in
+        let n = max procs 0 in
+        let sent = Array.make n 0 and received = Array.make n 0 and delay = Array.make n 0 in
+        List.iter
+          (fun m ->
+            if m.src >= 0 && m.src < n then sent.(m.src) <- sent.(m.src) + 1;
+            match m.delivered_step with
+            | Some d when m.dst >= 0 && m.dst < n ->
+                received.(m.dst) <- received.(m.dst) + 1;
+                delay.(m.dst) <- delay.(m.dst) + d - m.sent_step
+            | _ -> ())
+          msg_list;
+        List.init n (fun p ->
             {
               s_proc = p;
               s_steps = Array.length (steps_of p);
-              s_sent = List.length (List.filter (fun m -> m.src = p) msg_list);
-              s_received = received;
-              s_recv_delay_total = recv_delay;
+              s_sent = sent.(p);
+              s_received = received.(p);
+              s_recv_delay_total = delay.(p);
             })
       in
       (match critical with

@@ -7,7 +7,8 @@
    with [enabled], so an un-traced run pays one branch per potential
    event and allocates nothing. The [Mem] sink is a mutex-protected
    ring — events from any domain, bounded memory, oldest events
-   dropped (and counted) on overflow. *)
+   dropped (and counted) on overflow — that grows on demand, so an
+   idle or short trace never pays for the full capacity. *)
 
 type phase = Instant | Begin | End | Async_begin | Async_end
 
@@ -22,10 +23,16 @@ type event = {
   args : (string * Json.t) list;
 }
 
+(* The ring starts at [initial_slots] and doubles on demand up to
+   [capacity], so a sink sized for a million events costs nothing
+   until it is used. It only grows while it has never wrapped, which
+   keeps event [i] at slot [i mod Array.length buf] throughout: before
+   the ring is full that is slot [i], after it the length is
+   [capacity]. *)
 type mem = {
   capacity : int;
-  buf : event option array;
-  mutable next : int;  (* total events accepted; next mod capacity is the slot *)
+  mutable buf : event array;  (* slots >= next are [placeholder] until filled *)
+  mutable next : int;  (* total events accepted; next mod length is the slot *)
   epoch : float;
   mu : Mutex.t;
 }
@@ -36,12 +43,26 @@ let nop = Nop
 
 let default_capacity = 1 lsl 20
 
+let initial_slots = 64
+
+let placeholder =
+  {
+    ts = 0.;
+    name = "";
+    cat = "";
+    phase = Instant;
+    proc = None;
+    worker = None;
+    id = None;
+    args = [];
+  }
+
 let memory ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Events.memory: capacity must be positive";
   Mem
     {
       capacity;
-      buf = Array.make capacity None;
+      buf = Array.make (min capacity initial_slots) placeholder;
       next = 0;
       epoch = Unix.gettimeofday ();
       mu = Mutex.create ();
@@ -56,7 +77,13 @@ let emit t ?proc ?worker ?id ?(args = []) ?(phase = Instant) ~cat name =
       let ts = Unix.gettimeofday () -. m.epoch in
       let e = { ts; name; cat; phase; proc; worker; id; args } in
       Mutex.lock m.mu;
-      m.buf.(m.next mod m.capacity) <- Some e;
+      let len = Array.length m.buf in
+      if m.next = len && len < m.capacity then begin
+        let grown = Array.make (min m.capacity (2 * len)) placeholder in
+        Array.blit m.buf 0 grown 0 len;
+        m.buf <- grown
+      end;
+      m.buf.(m.next mod Array.length m.buf) <- e;
       m.next <- m.next + 1;
       Mutex.unlock m.mu
 
@@ -72,19 +99,23 @@ let recorded = function Nop -> 0 | Mem m -> m.next
 
 let dropped = function Nop -> 0 | Mem m -> max 0 (m.next - m.capacity)
 
-let events = function
-  | Nop -> []
+(* the retained events, oldest first, copied out under the lock *)
+let retained = function
+  | Nop -> [||]
   | Mem m ->
       Mutex.lock m.mu;
-      let retained = min m.next m.capacity in
+      let len = Array.length m.buf in
+      let count = min m.next len in
+      let first = (m.next - count) mod len in
       let out =
-        List.init retained (fun i ->
-            (* oldest retained first *)
-            let slot = (m.next - retained + i) mod m.capacity in
-            m.buf.(slot))
+        Array.init count (fun i ->
+            let slot = first + i in
+            m.buf.(if slot >= len then slot - len else slot))
       in
       Mutex.unlock m.mu;
-      List.filter_map Fun.id out
+      out
+
+let events t = Array.to_list (retained t)
 
 (* ---------------------------------------------------- serialization *)
 
@@ -114,28 +145,45 @@ let event_to_json e =
         @ (match e.id with Some i -> [ ("id", Json.Int i) ] | None -> [])
         @ match e.args with [] -> [] | args -> [ ("args", Json.Obj args) ]))
 
+(* One pass over the fields into [slots] (ts, name, cat, ph, proc,
+   worker, id, args, then one slot for every other key). The first
+   occurrence of a key wins, as with [Json.member]; [absent] marks a
+   key not seen yet. *)
+let absent = Json.String "absent"
+
+let rec scan_fields slots = function
+  | [] -> ()
+  | (k, v) :: rest ->
+      let i =
+        match k with
+        | "ts" -> 0
+        | "name" -> 1
+        | "cat" -> 2
+        | "ph" -> 3
+        | "proc" -> 4
+        | "worker" -> 5
+        | "id" -> 6
+        | "args" -> 7
+        | _ -> 8
+      in
+      if slots.(i) == absent then slots.(i) <- v;
+      scan_fields slots rest
+
 let event_of_json j =
-  let str field = Option.bind (Json.member field j) Json.to_str in
-  let int field = Option.bind (Json.member field j) Json.to_int in
-  match (Option.bind (Json.member "ts" j) Json.to_float, str "name", str "cat", str "ph") with
-  | Some ts, Some name, Some cat, Some ph -> (
+  let slots = Array.make 9 absent in
+  (match j with Json.Obj kvs -> scan_fields slots kvs | _ -> ());
+  let get i = if slots.(i) == absent then Json.Null else slots.(i) in
+  match (get 0, get 1, get 2, get 3) with
+  | ((Json.Float _ | Json.Int _) as ts), Json.String name, Json.String cat, Json.String ph -> (
       match phase_of_string ph with
       | None -> Error (Printf.sprintf "unknown event phase %S" ph)
       | Some phase ->
-          let args =
-            match Json.member "args" j with Some (Json.Obj kvs) -> kvs | _ -> []
+          let ts =
+            match ts with Json.Int i -> float_of_int i | Json.Float f -> f | _ -> Float.nan
           in
-          Ok
-            {
-              ts;
-              name;
-              cat;
-              phase;
-              proc = int "proc";
-              worker = int "worker";
-              id = int "id";
-              args;
-            })
+          let args = match get 7 with Json.Obj kvs -> kvs | _ -> [] in
+          let int i = Json.to_int (get i) in
+          Ok { ts; name; cat; phase; proc = int 4; worker = int 5; id = int 6; args })
   | _ -> Error "event missing one of ts/name/cat/ph"
 
 (* Chrome trace-event format: an array of {name, cat, ph, ts (µs),
@@ -165,20 +213,30 @@ let event_to_chrome e =
              [ ("id", Json.Int (Option.value e.id ~default:0)) ])
         @ match args with [] -> [] | args -> [ ("args", Json.Obj args) ]))
 
-let write_jsonl t oc =
-  List.iter
-    (fun e ->
-      output_string oc (Json.to_string (event_to_json e));
-      output_char oc '\n')
-    (events t)
+(* Serialize every retained event into one reused buffer, flushed to
+   [oc] whenever it passes [flush_bytes]: [sep] goes between events,
+   [after] after each. *)
+let flush_bytes = 1 lsl 16
+
+let write_events ~sep ~after to_json t oc =
+  let buf = Buffer.create (flush_bytes + 4096) in
+  Array.iteri
+    (fun i e ->
+      if i > 0 then Buffer.add_string buf sep;
+      Json.to_buffer buf (to_json e);
+      Buffer.add_string buf after;
+      if Buffer.length buf >= flush_bytes then begin
+        Buffer.output_buffer oc buf;
+        Buffer.clear buf
+      end)
+    (retained t);
+  Buffer.output_buffer oc buf
+
+let write_jsonl t oc = write_events ~sep:"" ~after:"\n" event_to_json t oc
 
 let write_chrome t oc =
   output_string oc "[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then output_string oc ",\n";
-      output_string oc (Json.to_string (event_to_chrome e)))
-    (events t);
+  write_events ~sep:",\n" ~after:"" event_to_chrome t oc;
   output_string oc "]\n"
 
 let save_jsonl t path =

@@ -38,6 +38,8 @@ val nop : t
 
 val memory : ?capacity:int -> unit -> t
 (** Ring sink keeping the last [capacity] events (default [2^20]).
+    The ring starts at 64 slots and doubles on demand up to
+    [capacity], so creating a sink allocates almost nothing.
     Raises [Invalid_argument] on a non-positive capacity. *)
 
 val enabled : t -> bool
@@ -79,9 +81,12 @@ val events : t -> event list
 val event_to_json : event -> Json.t
 
 val event_of_json : Json.t -> (event, string) result
-(** Inverse of {!event_to_json} — the JSONL reader used by
-    {!Analyze} and the round-trip tests. Unknown fields are ignored;
-    a missing or malformed [ts]/[name]/[cat]/[ph] is an error. *)
+(** Inverse of {!event_to_json} up to float precision — the JSONL
+    reader used by {!Analyze} and the round-trip tests. Floats
+    (including [ts]) come back rounded to the 12 significant digits
+    the format keeps, NaN as [null] and infinities as [±1e308];
+    everything else is exact. Unknown fields are ignored; a missing
+    or malformed [ts]/[name]/[cat]/[ph] is an error. *)
 
 val event_to_chrome : event -> Json.t
 (** One Chrome trace-event object; [ts] in microseconds, [tid] is the

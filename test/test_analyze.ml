@@ -108,6 +108,307 @@ let test_load_jsonl_roundtrip () =
               Alcotest.(check bool) "phase" true (a.phase = b.phase))
             sample_events evs)
 
+(* ------------------------------------------------- writer oracle *)
+
+(* The JSON emitter as it was before its fast paths: per-byte escapes,
+   Printf for floats and \u escapes. The streaming writers must
+   reproduce its bytes exactly. *)
+let rec ref_emit buf = function
+  | Json.Null -> Buffer.add_string buf "null"
+  | Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Json.Int i -> Buffer.add_string buf (string_of_int i)
+  | Json.Float f ->
+      Buffer.add_string buf
+        (if Float.is_nan f then "null"
+         else if f = Float.infinity then "1e308"
+         else if f = Float.neg_infinity then "-1e308"
+         else
+           let s = Printf.sprintf "%.12g" f in
+           if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s else s ^ ".0")
+  | Json.String s -> ref_escape buf s
+  | Json.List xs ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char buf ',';
+          ref_emit buf x)
+        xs;
+      Buffer.add_char buf ']'
+  | Json.Obj fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          ref_escape buf k;
+          Buffer.add_char buf ':';
+          ref_emit buf v)
+        fields;
+      Buffer.add_char buf '}'
+
+and ref_escape buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+let ref_to_string v =
+  let buf = Buffer.create 64 in
+  ref_emit buf v;
+  Buffer.contents buf
+
+module Rng = Setsync.Rng
+
+let gen_text rng =
+  String.concat ""
+    (List.init (Rng.int rng 6) (fun _ ->
+         match Rng.int rng 8 with
+         | 0 -> "\""
+         | 1 -> "\\"
+         | 2 -> String.make 1 (Char.chr (Rng.int rng 32))
+         | 3 -> Rng.pick rng [ "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80"; "\x7f" ]
+         | 4 -> String.make 1 (Char.chr (128 + Rng.int rng 128))
+         | _ -> Rng.pick rng [ "step"; "a b"; "x"; "/"; "{}"; "deliver" ]))
+
+let gen_float rng =
+  match Rng.int rng 8 with
+  | 0 -> Rng.pick rng [ 0.1; 1e-7; 5e20; 0.; -0.; 1e12; 1e15; -42.; 3. ]
+  | 1 -> Rng.pick rng [ Float.nan; Float.infinity; Float.neg_infinity; max_float; min_float ]
+  | 2 -> float_of_int (Rng.int rng 2_000_001 - 1_000_000)
+  | _ ->
+      let m = Rng.float rng -. 0.5 in
+      Float.ldexp m (Rng.int rng 140 - 70)
+
+let gen_int rng =
+  match Rng.int rng 6 with
+  | 0 -> Rng.pick rng [ 0; -1; min_int; max_int; -1_000_000_007 ]
+  | 1 -> -Rng.int rng 1_000
+  | _ -> Rng.int rng 100_000
+
+let rec gen_arg rng depth =
+  match Rng.int rng (if depth = 0 then 5 else 7) with
+  | 0 -> Json.Null
+  | 1 -> Json.Bool (Rng.bool rng)
+  | 2 -> Json.Int (gen_int rng)
+  | 3 -> Json.Float (gen_float rng)
+  | 4 -> Json.String (gen_text rng)
+  | 5 -> Json.List (List.init (Rng.int rng 3) (fun _ -> gen_arg rng (depth - 1)))
+  | _ -> Json.Obj (List.init (Rng.int rng 3) (fun _ -> (gen_text rng, gen_arg rng (depth - 1))))
+
+(* what a JSON round trip makes of a value: floats keep 12
+   significant digits, NaN becomes null, infinities clamp *)
+let rec reloaded = function
+  | Json.Float f when Float.is_nan f -> Json.Null
+  | Json.Float f -> Json.Float (float_of_string (ref_to_string (Json.Float f)))
+  | Json.List xs -> Json.List (List.map reloaded xs)
+  | Json.Obj kvs -> Json.Obj (List.map (fun (k, v) -> (k, reloaded v)) kvs)
+  | (Json.Null | Json.Bool _ | Json.Int _ | Json.String _) as v -> v
+
+let seeded_sink seed count =
+  let rng = Rng.create ~seed in
+  let sink = Events.memory () in
+  let opt f = if Rng.bool rng then Some (f ()) else None in
+  for _ = 1 to count do
+    Events.emit sink
+      ?proc:(opt (fun () -> gen_int rng))
+      ?worker:(opt (fun () -> gen_int rng))
+      ?id:(opt (fun () -> gen_int rng))
+      ~args:(List.init (Rng.int rng 4) (fun _ -> (gen_text rng, gen_arg rng 2)))
+      ~phase:
+        (Rng.pick rng
+           [ Events.Instant; Events.Begin; Events.End; Events.Async_begin; Events.Async_end ])
+      ~cat:(gen_text rng) (gen_text rng)
+  done;
+  sink
+
+let written write sink =
+  let f = Filename.temp_file "setsync_writer" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove f)
+    (fun () ->
+      Out_channel.with_open_bin f (fun oc -> write sink oc);
+      In_channel.with_open_bin f In_channel.input_all)
+
+let test_writer_oracle seed () =
+  (* enough events that the writer's buffer flushes several times *)
+  let sink = seeded_sink seed 3000 in
+  let evs = Events.events sink in
+  let jsonl =
+    String.concat "" (List.map (fun e -> ref_to_string (Events.event_to_json e) ^ "\n") evs)
+  in
+  Alcotest.(check string) "write_jsonl bytes" jsonl (written Events.write_jsonl sink);
+  let chrome =
+    "["
+    ^ String.concat ",\n" (List.map (fun e -> ref_to_string (Events.event_to_chrome e)) evs)
+    ^ "]\n"
+  in
+  Alcotest.(check string) "write_chrome bytes" chrome (written Events.write_chrome sink);
+  let f = Filename.temp_file "setsync_writer" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove f)
+    (fun () ->
+      Events.save_jsonl sink f;
+      match Analyze.load_jsonl f with
+      | Error e -> Alcotest.failf "load_jsonl: %s" e
+      | Ok back ->
+          Alcotest.(check int) "count" (List.length evs) (List.length back);
+          List.iter2
+            (fun (a : Events.event) (b : Events.event) ->
+              let expect = { a with ts = 0.; args = [] } and got = { b with ts = 0.; args = [] } in
+              if expect <> got then
+                Alcotest.failf "event %s reloads as %s" (ref_to_string (Events.event_to_json a))
+                  (ref_to_string (Events.event_to_json b));
+              Alcotest.(check (float 0.)) "ts at 12 significant digits"
+                (float_of_string (ref_to_string (Json.Float a.ts)))
+                b.ts;
+              Alcotest.(check bool) "args" true (reloaded (Json.Obj a.args) = Json.Obj b.args))
+            evs back)
+
+(* ------------------------------------------------ analysis oracle *)
+
+(* The critical-path walk, pair table and per-process table as first
+   written: linear scans over the event list for every hop. The
+   indexed [of_events] must agree with it exactly. *)
+let arg name (e : Events.event) = Option.bind (List.assoc_opt name e.args) Json.to_int
+
+let naive_report evs (msgs : Analyze.msg list) =
+  let open Analyze in
+  let steps =
+    List.filter_map
+      (fun (e : Events.event) ->
+        match (e.cat, e.name, e.proc, arg "global" e) with
+        | "runtime", "step", Some p, Some g -> Some (p, g)
+        | _ -> None)
+      evs
+  in
+  let anchor =
+    List.fold_left
+      (fun acc (e : Events.event) ->
+        if e.cat = "detector" && e.name = "ct_stabilized" then arg "step" e else acc)
+      None evs
+  in
+  let prev_step p g =
+    List.fold_left
+      (fun best (q, g') -> if q = p && g' < g && Some g' > best then Some g' else best)
+      None steps
+  in
+  let delivered m = Option.get m.delivered_step in
+  let latest_delivery p g =
+    List.fold_left
+      (fun best m ->
+        match (m.delivered_step, best) with
+        | Some d, _ when m.dst <> p || d > g -> best
+        | Some _, None -> Some m
+        | Some d, Some b -> if (d, m.mid) > (delivered b, b.mid) then Some m else best
+        | None, _ -> best)
+      None msgs
+  in
+  let rec walk p g acc =
+    match (latest_delivery p g, prev_step p g) with
+    | Some m, lg when match lg with None -> true | Some lg -> delivered m >= lg ->
+        let hop = Recv { msg = m; to_proc = p; to_global = g; wait = g - delivered m } in
+        walk m.src m.sent_step (hop :: acc)
+    | _, Some lg -> walk p lg (Local { proc = p; from_global = lg; to_global = g } :: acc)
+    | _, None -> Start { proc = p; global = g } :: acc
+  in
+  let proc_at g = fst (List.find (fun (_, g') -> g' = g) steps) in
+  let hops = Option.map (fun s -> walk (proc_at s) s []) anchor in
+  let ids = List.map fst steps @ List.concat_map (fun m -> [ m.src; m.dst ]) msgs in
+  let procs = 1 + List.fold_left max (-1) ids in
+  let arrived = List.filter (fun m -> m.delivered_step <> None) msgs in
+  let delay m = delivered m - m.sent_step in
+  let sum f ms = List.fold_left (fun acc m -> acc + f m) 0 ms in
+  let count f ms = List.length (List.filter f ms) in
+  let pairs =
+    List.map
+      (fun (src, dst) ->
+        let ms = List.filter (fun m -> m.src = src && m.dst = dst) msgs in
+        let ok = List.filter (fun m -> m.delivered_step <> None) ms in
+        {
+          p_src = src;
+          p_dst = dst;
+          p_delivered = List.length ok;
+          p_dropped = count (fun m -> m.delivered_step = None && m.dropped) ms;
+          p_delay_total = sum delay ok;
+          p_delay_max = List.fold_left (fun acc m -> max acc (delay m)) 0 ok;
+          p_adv = sum (fun m -> m.adv) ok;
+          p_forced = sum (fun m -> m.forced) ok;
+          p_fifo = sum (fun m -> m.fifo) ok;
+          p_denied = sum (fun m -> m.denied) ok;
+        })
+      (List.sort_uniq compare (List.map (fun m -> (m.src, m.dst)) msgs))
+  in
+  let per_proc =
+    List.init (max procs 0) (fun p ->
+        let into = List.filter (fun m -> m.dst = p) arrived in
+        {
+          s_proc = p;
+          s_steps = count (fun (q, _) -> q = p) steps;
+          s_sent = count (fun m -> m.src = p) msgs;
+          s_received = List.length into;
+          s_recv_delay_total = sum delay into;
+        })
+  in
+  (hops, pairs, per_proc)
+
+let test_analysis_oracle () =
+  let checked = ref 0 in
+  for seed = 1 to 3 do
+    let rng = Rng.create ~seed in
+    for n = 2 to 4 do
+      for delta = 1 to 2 do
+        let gst = 2 + Rng.int rng 12 in
+        let max_steps = (100 * n) + Rng.int rng 100 in
+        let events = Events.memory () in
+        let obs = Obs.create ~events () in
+        let adversary = Adversary.gst_drop ~delta ~gst in
+        ignore (Net_systems.run_ct ~obs ~clients:n ~adversary ~max_steps ());
+        let trace =
+          List.filter (fun (e : Events.event) -> e.name <> "ct_stabilized") (Events.events events)
+        in
+        (* the real anchor, and synthetic ones spread over the run so
+           the walk starts from many steps *)
+        let anchors = List.init 8 (fun i -> i * max_steps / 8) @ [ max_steps - 1 ] in
+        List.iter
+          (fun s ->
+            let label =
+              Printf.sprintf "seed=%d n=%d delta=%d gst=%d anchor=%d" seed n delta gst s
+            in
+            let anchored =
+              trace
+              @ [
+                  mk ~phase:Events.Instant ~cat:"detector" ~ts:0. ~proc:0
+                    ~args:[ ("step", Json.Int s); ("leader", Json.Int 0) ]
+                    "ct_stabilized";
+                ]
+            in
+            match Analyze.of_events anchored with
+            | Error e -> Alcotest.failf "%s: of_events: %s" label e
+            | Ok r ->
+                let hops, pairs, per_proc = naive_report anchored r.Analyze.msgs in
+                let got = Option.map (fun p -> p.Analyze.hops) r.Analyze.critical in
+                Alcotest.(check bool) (label ^ ": hops") true (got = hops);
+                Alcotest.(check (option int))
+                  (label ^ ": total")
+                  (Option.map (List.fold_left (fun acc h -> acc + Analyze.hop_weight h) 0) hops)
+                  (Option.map (fun p -> p.Analyze.total) r.Analyze.critical);
+                Alcotest.(check bool) (label ^ ": pairs") true (pairs = r.Analyze.pairs);
+                Alcotest.(check bool) (label ^ ": per_proc") true (per_proc = r.Analyze.per_proc);
+                incr checked)
+          anchors
+      done
+    done
+  done;
+  Alcotest.(check int) "anchors checked" (3 * 3 * 2 * 9) !checked
+
 (* ------------------------------- hand-built 3-process causal DAG *)
 
 (* Schedule: g0=p0, g1=p1, g2=p1, g3=p2, g4=p2.
@@ -310,11 +611,18 @@ let () =
             test_event_of_json_rejects;
           Alcotest.test_case "jsonl file round-trip" `Quick test_load_jsonl_roundtrip;
         ] );
+      ( "writer",
+        [
+          Alcotest.test_case "bytes = reference (seed 1)" `Quick (test_writer_oracle 1);
+          Alcotest.test_case "bytes = reference (seed 2)" `Quick (test_writer_oracle 2);
+        ] );
       ( "critical-path",
         [
           Alcotest.test_case "hand-built 3-process DAG" `Quick test_dag_critical_path;
           Alcotest.test_case "orphan deliver rejected" `Quick
             test_dag_rejects_orphan_deliver;
+          Alcotest.test_case "indexed walk = linear-scan reference" `Quick
+            test_analysis_oracle;
         ] );
       ( "integration",
         [

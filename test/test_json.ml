@@ -1,6 +1,7 @@
 (* Edge-case tests for the zero-dependency JSON layer and the event
-   codec on top of it: deep nesting, escape handling (including \uXXXX
-   and lone surrogates), truncated and trailing-garbage inputs,
+   codec on top of it: deep nesting, escape handling (including \uXXXX,
+   surrogate pairs and lone surrogates), the RFC 8259 number grammar,
+   truncated and trailing-garbage inputs,
    unknown-field tolerance of event_of_json, and seeded round-trip
    fuzzing of both values and events. The parser is what the CI
    validator and the serve protocol run on, so its failure mode must
@@ -19,6 +20,16 @@ let fails s =
   match Json.of_string s with
   | Ok v -> Alcotest.failf "%S should not parse, got %s" s (Json.to_string v)
   | Error _ -> ()
+
+let str s =
+  match ok s with
+  | Json.String v -> v
+  | v -> Alcotest.failf "expected string, got %s" (Json.to_string v)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
 
 let check_roundtrip v =
   let s = Json.to_string v in
@@ -43,6 +54,14 @@ let test_deep_objects () =
   let rec build d = if d = 0 then Json.Null else Json.Obj [ ("a", build (d - 1)) ] in
   check_roundtrip (build depth)
 
+(* long sequences keep their order past the parser's in-order prefix *)
+let test_long_sequences () =
+  List.iter
+    (fun n ->
+      check_roundtrip (Json.List (List.init n (fun i -> Json.Int i)));
+      check_roundtrip (Json.Obj (List.init n (fun i -> (Fmt.str "k%d" i, Json.Int (-i))))))
+    [ 63; 64; 65; 66; 200; 5000 ]
+
 let test_unbalanced_nesting () =
   fails (String.make 50 '[');
   fails (String.make 50 '[' ^ "1");
@@ -51,20 +70,40 @@ let test_unbalanced_nesting () =
 (* ---------------------------------------------------------- escapes *)
 
 let test_escapes_decode () =
-  let str s =
-    match ok s with Json.String v -> v | v -> Alcotest.failf "expected string, got %s" (Json.to_string v)
-  in
   Alcotest.(check string) "simple escapes" "a\"b\\c/d\b\012\n\r\t"
     (str {|"a\"b\\c\/d\b\f\n\r\t"|});
   Alcotest.(check string) "\\u ascii" "A" (str {|"A"|});
   Alcotest.(check string) "\\u 2-byte utf8" "\xc3\xa9" (str {|"é"|});
   Alcotest.(check string) "\\u 3-byte utf8" "\xe2\x82\xac" (str {|"€"|});
-  (* lone surrogates are encoded as-is, not recombined — documented
-     behavior, must stay deterministic *)
-  Alcotest.(check string) "lone surrogate" "\xed\xa0\xbd" (str {|"\ud83d"|});
   (* control characters emitted as \u00XX parse back byte-identically *)
   let ctl = String.init 32 Char.chr in
   check_roundtrip (Json.String ctl)
+
+(* an escaped surrogate pair is one scalar value: 4 bytes of UTF-8,
+   not two 3-byte encodings of the halves *)
+let test_surrogate_pair () =
+  Alcotest.(check string) "U+1F600" "\xf0\x9f\x98\x80" (str {|"\ud83d\ude00"|});
+  Alcotest.(check string) "U+10000, upper case hex" "\xf0\x90\x80\x80" (str {|"\uD800\uDC00"|});
+  Alcotest.(check string) "U+10FFFF" "\xf4\x8f\xbf\xbf" (str {|"\udbff\udfff"|});
+  Alcotest.(check string) "pair amid text" "a\xf0\x9f\x98\x80b" (str {|"a\ud83d\ude00b"|})
+
+(* a surrogate half alone is not a scalar value: rejected with a
+   diagnostic naming it *)
+let test_lone_surrogate () =
+  let rejects s what =
+    match Json.of_string s with
+    | Ok v -> Alcotest.failf "%s should not parse, got %s" s (Json.to_string v)
+    | Error e ->
+        if not (contains ~sub:what e) then
+          Alcotest.failf "%s: diagnostic %S does not mention %S" s e what
+  in
+  rejects {|"\ud83d"|} "lone high surrogate \\ud83d";
+  rejects {|"\ud83dx"|} "lone high surrogate";
+  rejects {|"\ud83d\n"|} "lone high surrogate";
+  rejects {|"\ud83d\u0041"|} "lone high surrogate";
+  rejects {|"\ud83d\ud83d"|} "lone high surrogate";
+  rejects {|"\ude00"|} "lone low surrogate \\ude00";
+  rejects {|"\ude00\ud83d"|} "lone low surrogate"
 
 let test_escapes_reject () =
   fails {|"\q"|};
@@ -105,6 +144,50 @@ let test_numbers () =
     (Json.to_string (ok (string_of_int max_int)));
   fails "1.2.3";
   fails "--1"
+
+(* RFC 8259 §6: -? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)? *)
+let test_number_grammar () =
+  List.iter fails
+    [ "+1"; "01"; "-01"; "00"; "1."; ".5"; "-.5"; "1.e3"; "1e"; "1e+"; "-"; "0x1f"; "1_000";
+      "[+1]"; "[01]"; "{\"a\":1.}"; "{\"a\":.5}" ];
+  List.iter
+    (fun s ->
+      match Json.of_string s with
+      | Error e when contains ~sub:"leading zero" e -> ()
+      | Error e -> Alcotest.failf "%s: diagnostic %S does not name the leading zero" s e
+      | Ok _ -> Alcotest.failf "%s should not parse" s)
+    [ "01"; "-007"; "[1,02]" ];
+  let same s want = Alcotest.(check string) s want (Json.to_string (ok s)) in
+  same "0" "0";
+  same "-0" "0";
+  same "0.5" "0.5";
+  same "-0.0" "-0.0";
+  same "1E3" "1000.0";
+  same "1e+3" "1000.0";
+  same "25e-1" "2.5";
+  same "0e0" "0.0";
+  same "[0,10,-7]" "[0,10,-7]";
+  (* beyond int: a float, as before *)
+  same "4611686018427387904" "4.61168601843e+18";
+  same (string_of_int min_int) (string_of_int min_int);
+  (* values off the exact fast path agree with float_of_string *)
+  List.iter
+    (fun s ->
+      match ok s with
+      | Json.Float f ->
+          Alcotest.(check (float 0.)) s (float_of_string s) f
+      | v -> Alcotest.failf "%s parsed as %s" s (Json.to_string v))
+    [ "0.1"; "1e-7"; "5e20"; "1e23"; "123456789012345678.5"; "2.2250738585072014e-308";
+      "0.00012345678901234567"; "1.7976931348623157e308"; "9007199254740993.0" ];
+  (* and so does every emitted float, fast path or not *)
+  let rng = Rng.create ~seed:11 in
+  for _ = 1 to 2000 do
+    let f = Float.ldexp (Rng.float rng -. 0.5) (Rng.int rng 200 - 100) in
+    let s = Json.to_string (Json.Float f) in
+    match ok s with
+    | Json.Float g -> if g <> float_of_string s then Alcotest.failf "%s parsed as %h" s g
+    | v -> Alcotest.failf "%s parsed as %s" s (Json.to_string v)
+  done
 
 (* ---------------------------------------------------- event codec *)
 
@@ -222,10 +305,13 @@ let () =
           Alcotest.test_case "deep lists" `Quick test_deep_lists;
           Alcotest.test_case "deep objects" `Quick test_deep_objects;
           Alcotest.test_case "unbalanced" `Quick test_unbalanced_nesting;
+          Alcotest.test_case "long sequences" `Quick test_long_sequences;
         ] );
       ( "escapes",
         [
           Alcotest.test_case "decode" `Quick test_escapes_decode;
+          Alcotest.test_case "surrogate pair" `Quick test_surrogate_pair;
+          Alcotest.test_case "lone surrogate" `Quick test_lone_surrogate;
           Alcotest.test_case "reject" `Quick test_escapes_reject;
           Alcotest.test_case "emit" `Quick test_escape_emit;
         ] );
@@ -234,6 +320,7 @@ let () =
           Alcotest.test_case "truncated" `Quick test_truncated;
           Alcotest.test_case "trailing garbage" `Quick test_trailing_garbage;
           Alcotest.test_case "numbers" `Quick test_numbers;
+          Alcotest.test_case "number grammar" `Quick test_number_grammar;
         ] );
       ( "events",
         [

@@ -168,6 +168,68 @@ let test_event_ring () =
      in
      mono evs)
 
+(* The ring grows by doubling until it reaches its capacity; across
+   every growth step (and every wrap after it) the sink must look like
+   a fixed ring of [capacity] slots: [recorded] counts everything,
+   [dropped] the overflow, [events] the newest [capacity], oldest
+   first. Checked after every emit. *)
+let test_event_ring_growth () =
+  let ids t =
+    List.map
+      (fun e -> match e.Events.args with [ ("i", Json.Int i) ] -> i | _ -> -1)
+      (Events.events t)
+  in
+  List.iter
+    (fun cap ->
+      List.iter
+        (fun count ->
+          let t = Events.memory ~capacity:cap () in
+          let check k =
+            let label = Printf.sprintf "cap=%d after %d of %d" cap k count in
+            Alcotest.(check int) (label ^ ": recorded") k (Events.recorded t);
+            Alcotest.(check int) (label ^ ": dropped") (max 0 (k - cap)) (Events.dropped t);
+            let first = max 0 (k - cap) in
+            Alcotest.(check (list int))
+              (label ^ ": events")
+              (List.init (k - first) (( + ) first))
+              (ids t)
+          in
+          check 0;
+          for i = 0 to count - 1 do
+            Events.emit t ~args:[ ("i", Json.Int i) ] ~cat:"test" "e";
+            check (i + 1)
+          done)
+        [ 0; cap - 1; cap; cap + 1; (3 * cap) + 2 ])
+    [ 1; 4; 5; 1000 ];
+  List.iter
+    (fun capacity ->
+      match Events.memory ~capacity () with
+      | _ -> Alcotest.failf "capacity %d accepted" capacity
+      | exception Invalid_argument _ -> ())
+    [ 0; -1; min_int ]
+
+(* words allocated (minor + direct major) by [f ()], less what the
+   measurement itself costs. [Gc.minor_words] is exact at any point;
+   the minor count in [Gc.counters] only moves at collections. *)
+let allocated_words f =
+  let words () =
+    let s = Gc.quick_stat () in
+    Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = words () in
+  let w1 = words () in
+  let r = f () in
+  let w2 = words () in
+  (r, w2 -. w1 -. (w1 -. w0))
+
+let test_event_sink_lazy () =
+  let t, words = allocated_words (fun () -> Events.memory ()) in
+  Alcotest.(check bool)
+    (Printf.sprintf "default sink allocates < 1 KiB up front (%.0f words)" words)
+    true
+    (words *. float_of_int (Sys.word_size / 8) < 1024.);
+  Alcotest.(check int) "still empty" 0 (List.length (Events.events t))
+
 let test_event_span_and_chrome () =
   let t = Events.memory () in
   let r = Events.span t ~worker:3 ~cat:"test" "work" (fun () -> 17) in
@@ -340,6 +402,8 @@ let () =
       ( "events",
         [
           Alcotest.test_case "ring drop + order" `Quick test_event_ring;
+          Alcotest.test_case "ring growth = fixed ring" `Quick test_event_ring_growth;
+          Alcotest.test_case "sink allocates on demand" `Quick test_event_sink_lazy;
           Alcotest.test_case "span + chrome format" `Quick test_event_span_and_chrome;
           Alcotest.test_case "jsonl lines parse" `Quick test_jsonl_lines_parse;
         ] );
