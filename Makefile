@@ -2,7 +2,7 @@
 
 DUNE_FILES := $(shell git ls-files '*dune' 'dune-project')
 
-.PHONY: all build check test fmt fmt-check bench bench-quick bench-guard obs-check fuzz-smoke net-smoke trace-smoke cli-smoke serve-smoke ci clean
+.PHONY: all build check test fmt fmt-check bench bench-quick bench-guard obs-check fuzz-smoke net-smoke trace-smoke cli-smoke ci clean
 
 all: build
 
@@ -38,7 +38,7 @@ bench:
 bench-quick: ## E11 smoke run (small depth, exploration only)
 	dune exec bench/main.exe -- --quick
 
-bench-guard: ## pinned ceilings: replay amortization (E11e/f), net stabilization (N1), round-batching cost + net-vs-shm verdicts (N2)
+bench-guard: ## pinned bounds: replay amortization (E11e/f), net stabilization (N1), tracing overhead + export/reload words (N1t), round-batching cost + net-vs-shm verdicts (N2)
 	dune exec bin/bench_guard.exe -- BENCH_quick.json
 
 obs-check: ## traced exploration; validate the emitted JSONL/Chrome/metrics files
@@ -116,30 +116,7 @@ cli-smoke: ## explore flag-compatibility gate: impossible combinations fail loud
 	expect 0 explore --check kset -n 2 -t 1 -k 1 --depth 6 --engine snapshot --symmetry --fingerprints; \
 	echo "cli-smoke: ok"
 
-serve-smoke: ## scripted NDJSON session against `setsync serve`: open/run/result/stats/shutdown all reply ok, and the session's result renders
-	@printf '%s\n' \
-	  '{"op":"hello"}' \
-	  '{"op":"open","spec":{"kind":"spin","max_steps":5000}}' \
-	  '{"op":"run","sid":0}' \
-	  '{"op":"result","sid":0}' \
-	  '{"op":"stats"}' \
-	  '{"op":"shutdown"}' \
-	| dune exec bin/setsync_cli.exe -- serve --quantum 512 \
-	  --metrics-out /tmp/setsync_ci_serve_metrics.json > /tmp/setsync_ci_serve.out
-	@test "$$(wc -l < /tmp/setsync_ci_serve.out)" -eq 6 || { \
-	  echo "serve-smoke: expected 6 replies"; cat /tmp/setsync_ci_serve.out; exit 1; }
-	@if grep -q '"ok":false' /tmp/setsync_ci_serve.out; then \
-	  echo "serve-smoke: a request failed"; cat /tmp/setsync_ci_serve.out; exit 1; fi
-	@grep -q '"schema":"setsync-serve/1"' /tmp/setsync_ci_serve.out || { \
-	  echo "serve-smoke: missing schema handshake"; exit 1; }
-	@grep -q '"result":{"kind":"spin"' /tmp/setsync_ci_serve.out || { \
-	  echo "serve-smoke: missing spin result"; cat /tmp/setsync_ci_serve.out; exit 1; }
-	@grep -q '"serve.sessions_opened":1' /tmp/setsync_ci_serve_metrics.json || { \
-	  echo "serve-smoke: metrics file missing opened counter"; \
-	  cat /tmp/setsync_ci_serve_metrics.json; exit 1; }
-	@echo "serve-smoke: ok"
-
-ci: ## the full gate: format check, build, tests, E11 smoke + guard, traced-run check, fuzz + net + serve smokes
+ci: ## the full gate: format check, build, tests, E11 smoke + guard, traced-run check, fuzz + net + trace + cli smokes
 	$(MAKE) fmt-check
 	dune build
 	dune runtest
@@ -150,7 +127,6 @@ ci: ## the full gate: format check, build, tests, E11 smoke + guard, traced-run 
 	$(MAKE) net-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) cli-smoke
-	$(MAKE) serve-smoke
 
 clean:
 	dune clean

@@ -446,12 +446,12 @@ let e11_engines () =
       let properties =
         [ Property.kset_agreement ~k:1 ~decisions; Property.validity ~inputs ~decisions ]
       in
-      let run path_replay =
+      let run engine =
         Explorer.explore ~sut ~properties
-          (Explorer.config ~prune_fingerprints:false ~path_replay ~depth ())
+          (Explorer.config ~prune_fingerprints:false ~engine ~depth ())
       in
-      let r_state = run false in
-      let r_path = run true in
+      let r_state = run Explorer.Per_state in
+      let r_path = run Explorer.Path in
       let agree =
         r_state.Explorer.verdicts = r_path.Explorer.verdicts
         && r_state.Explorer.stats.Budget.visited = r_path.Explorer.stats.Budget.visited
@@ -1008,18 +1008,15 @@ let n1_trace_overhead ?(quick = false) () =
    and agreement end-to-end over the net backend vs shared memory.
 
    The microbench drives one client against one owner with the
-   workload "C writes then 1 read" per iteration. Per-op mode runs
-   under the emulation-style [client; owner; client] grant cycle the
-   cross-backend tests use (3 steps per op by construction); batched
-   mode runs under a clients-only source with the round policy
-   supplying owner turns, so its steps/op is the real amortized cost
-   including every boosted serve step. bin/bench_guard.ml pins the
-   batched rows at <= 1.5 steps/op and the per-op row at >= 2.5. *)
-let n2_microbench ~mode ~batch ~iters =
+   workload "C writes then 1 read" per iteration, under a clients-only
+   source with the round policy supplying owner turns, so its steps/op
+   is the real amortized cost including every boosted serve step.
+   bin/bench_guard.ml pins the rows at <= 1.5 steps/op. *)
+let n2_microbench ~batch ~iters =
   let store = Store.create () in
   let adversary = Adversary.synchronous ~delta:1 in
   let net = Net.create ~store ~n:2 ~adversary () in
-  let nm = Netmem.install ~mode ~net ~store ~clients:1 ~owners:1 () in
+  let nm = Netmem.install ~net ~store ~clients:1 ~owners:1 () in
   let regs =
     Array.init batch (fun i ->
         Store.register store ~pp:Fmt.int ~name:(Printf.sprintf "R%d" i) 0)
@@ -1040,17 +1037,7 @@ let n2_microbench ~mode ~batch ~iters =
     end
     else Netmem.owner_body nm p ()
   in
-  let source ~live:_ =
-    match mode with
-    | Netmem.Batched -> Source.make ~n:2 (fun () -> Some 0)
-    | Netmem.Per_op ->
-        let pat = [| 0; 1; 0 |] in
-        let i = ref 0 in
-        Source.make ~n:2 (fun () ->
-            let x = pat.(!i mod 3) in
-            incr i;
-            Some x)
-  in
+  let source ~live:_ = Source.make ~n:2 (fun () -> Some 0) in
   let run =
     Executor.run ~n:2 ~source
       ~max_steps:((10 * iters * (batch + 1)) + 1_000)
@@ -1066,24 +1053,20 @@ let n2_round_batching ?(quick = false) () =
   Fmt.pr "  %-10s %-4s %-8s %-8s %s@." "mode" "C" "ops" "steps" "steps/op";
   let iters = if quick then 200 else 1_000 in
   List.iter
-    (fun (label, mode, batch) ->
-      let steps, ops = n2_microbench ~mode ~batch ~iters in
+    (fun batch ->
+      let steps, ops = n2_microbench ~batch ~iters in
       let per_op = float_of_int steps /. float_of_int (max 1 ops) in
-      Fmt.pr "  %-10s %-4d %-8d %-8d %.3f@." label batch ops steps per_op;
+      Fmt.pr "  %-10s %-4d %-8d %-8d %.3f@." "batched" batch ops steps per_op;
       Results.add "N2"
         [
           ("kind", Json.String "microbench");
-          ("mode", Json.String label);
+          ("mode", Json.String "batched");
           ("batch", Json.Int batch);
           ("ops", Json.Int ops);
           ("steps", Json.Int steps);
           ("steps_per_op", Json.Float per_op);
         ])
-    [
-      ("per-op", Netmem.Per_op, 1);
-      ("batched", Netmem.Batched, 1);
-      ("batched", Netmem.Batched, 4);
-    ];
+    [ 1; 4 ];
   subsection "b. agreement end-to-end over net, verdicts vs shm";
   Fmt.pr "  %-7s %-10s %-3s %-40s %-7s %-7s %s@." "solver" "adversary" "n" "net verdict"
     "equal" "ops" "steps";
@@ -1255,67 +1238,6 @@ let ablations () =
         | None -> "not solved within budget"))
     [ 4; 5; 6; 7; 8 ]
 
-(* ------------------------------------------------------------------ *)
-(* S1: the serve layer — aggregate throughput vs session count *)
-
-(* Thousands of spin sessions (the P9 pause-loop pattern, n=4) stepped
-   through the sharded store with batched quanta: the multiplexing tax
-   is the gap between the sessions=1 row (pure coroutine overhead over
-   P9) and the high-count rows (store iteration, suspend/resume churn,
-   continuation cache misses). bin/bench_guard.ml pins the quick rows:
-   the aggregate rate at 1000 sessions must stay within 2x of the
-   single-session rate. *)
-let s1_serve ?(quick = false) () =
-  let module Session = Setsync_serve.Session in
-  let module Shard = Setsync_serve.Shard in
-  let module Batch = Setsync_serve.Batch in
-  section "S1. Serve: aggregate spin throughput vs session count (quantum-batched)";
-  let counts = if quick then [ 1; 1_000 ] else [ 1; 10; 100; 1_000; 10_000 ] in
-  let quantum = 1_024 in
-  let total_target = 400_000 in
-  Fmt.pr "  %-10s %-12s %-10s %-9s %s@." "sessions" "total steps" "rounds" "seconds"
-    "aggregate steps/s";
-  List.iter
-    (fun sessions ->
-      (* constant total work: many sessions each get a small budget *)
-      let per_session = max 40 (total_target / sessions) in
-      let spec =
-        { (Session.default Session.Spin) with Session.n = 4; max_steps = per_session }
-      in
-      let run_once () =
-        let store = Shard.create ~shards:8 ~capacity:(max 16 (sessions / 4)) () in
-        for _ = 1 to sessions do
-          ignore (Shard.add store (Session.create spec))
-        done;
-        let t0 = Unix.gettimeofday () in
-        let rounds, o = Batch.run_all store ~quantum in
-        let dt = Unix.gettimeofday () -. t0 in
-        (rounds, o.Batch.units, dt)
-      in
-      (* one untimed warmup, then best of 3 — the stable floor, like
-         P9; without the warmup the first count measured pays the
-         cold-cache/frequency-ramp tax and skews the guard's ratio *)
-      ignore (run_once ());
-      let best = ref (0, 0, infinity) in
-      for _ = 1 to 3 do
-        let (_, _, dt) as r = run_once () in
-        let _, _, best_dt = !best in
-        if dt < best_dt then best := r
-      done;
-      let rounds, units, dt = !best in
-      let rate = if dt > 0. then float_of_int units /. dt else 0. in
-      Fmt.pr "  %-10d %-12d %-10d %-9.3f %12.0f@." sessions units rounds dt rate;
-      Results.add "S1"
-        [
-          ("sessions", Json.Int sessions);
-          ("steps_total", Json.Int units);
-          ("rounds", Json.Int rounds);
-          ("seconds", Json.Float dt);
-          ("steps_per_s", Json.Float rate);
-          ("quantum", Json.Int quantum);
-        ])
-    counts
-
 let quick () =
   (* `bench --quick`: the E11 smoke run used by `make ci` — small depth,
      exploration only, no Bechamel sampling — plus the P9 overhead
@@ -1330,7 +1252,6 @@ let quick () =
   n1_trace_overhead ~quick:true ();
   n2_round_batching ~quick:true ();
   p9_obs_overhead ();
-  s1_serve ~quick:true ();
   Results.write "BENCH_quick.json";
   Fmt.pr "@.done.@."
 
@@ -1357,7 +1278,6 @@ let () =
     convergence_profile ();
     ablations ();
     p9_obs_overhead ();
-    s1_serve ();
     bechamel_benchmarks ();
     Results.write "BENCH_results.json";
     Fmt.pr "@.done.@."

@@ -95,16 +95,6 @@ let solver_arg =
            $(b,paxos) (designated-proposer consensus). Both run under a combined \
            crash + BRS-partition adversary and report the checker verdict.")
 
-let net_mode_arg =
-  Arg.(
-    value
-    & opt (Arg.enum [ ("batched", Netmem.Batched); ("per-op", Netmem.Per_op) ]) Netmem.Batched
-    & info [ "net-mode" ] ~docv:"MODE"
-        ~doc:
-          "Routed-register protocol for $(b,--solver kset/paxos): $(b,batched) \
-           (round-batched, about one step per op, the default) or $(b,per-op) (three \
-           steps per op).")
-
 let owners_arg =
   Arg.(
     value
@@ -256,7 +246,7 @@ let fd_cmd =
 
 let solve_cmd =
   let run t k n i j bound seed crashes adversary max_steps backend delta gst solver
-      net_mode owners resend_after trace_out metrics_out =
+      owners resend_after trace_out metrics_out =
     match backend with
     | Backend_shm ->
         let spec = make_spec t k n i j bound seed crashes adversary max_steps in
@@ -306,14 +296,12 @@ let solve_cmd =
         let inputs = Problem.distinct_inputs problem in
         let obs = make_obs ~trace_out ~metrics_out () in
         let r =
-          Net_agreement.solve ~solver ~mode:net_mode ~owners ?resend_after ?obs ~problem
+          Net_agreement.solve ~solver ~owners ?resend_after ?obs ~problem
             ~inputs ~combined ~max_steps ()
         in
-        Fmt.pr "net backend: %a over routed registers (%s), %s (delta=%d, gst=%d), %d \
-                clients + %d owners, %d crashes@."
-          Problem.pp problem
-          (match net_mode with Netmem.Batched -> "batched" | Netmem.Per_op -> "per-op")
-          combined.Adversary.adversary.Adversary.name delta gst n owners crashes;
+        Fmt.pr "net backend: %a over routed registers, %s (delta=%d, gst=%d), %d clients + \
+                %d owners, %d crashes@."
+          Problem.pp problem combined.Adversary.adversary.Adversary.name delta gst n owners crashes;
         Fmt.pr "decisions:";
         Array.iteri
           (fun p d -> Fmt.pr " %a=%a" Proc.pp p Fmt.(option ~none:(any "-") int) d)
@@ -368,7 +356,7 @@ let solve_cmd =
          "Solve (t,k,n)-agreement in S^i_{j,n} (shm), or over the net: blind k-set \
           gossip (default), or real solvers on routed registers with $(b,--solver \
           kset/paxos)")
-    Term.(const run $ t_arg $ k_arg $ n_arg $ i_arg $ j_arg $ bound_arg $ seed_arg $ crashes_arg $ adversary_arg $ steps_arg $ backend_arg $ delta_arg $ gst_arg $ solver_arg $ net_mode_arg $ owners_arg $ resend_after_arg $ trace_out_arg $ metrics_out_arg)
+    Term.(const run $ t_arg $ k_arg $ n_arg $ i_arg $ j_arg $ bound_arg $ seed_arg $ crashes_arg $ adversary_arg $ steps_arg $ backend_arg $ delta_arg $ gst_arg $ solver_arg $ owners_arg $ resend_after_arg $ trace_out_arg $ metrics_out_arg)
 
 (* ------------------------------------------------------------ sweep *)
 
@@ -562,7 +550,7 @@ let explore_cmd =
   let engine_arg =
     Arg.(
       value
-      & opt (some engine_conv) None
+      & opt engine_conv Explorer.Path
       & info [ "engine" ] ~docv:"E"
           ~doc:
             "State (re)construction engine: $(b,path) (amortized path replay, the \
@@ -581,15 +569,6 @@ let explore_cmd =
             "Process-renaming symmetry reduction: fingerprints are canonicalized over \
              the system's admissible renamings, so states equal up to renaming are \
              explored once. Requires $(b,--engine snapshot) and $(b,--fingerprints).")
-  in
-  let per_state_arg =
-    Arg.(
-      value
-      & flag
-      & info [ "per-state" ]
-          ~doc:
-            "Legacy alias of $(b,--engine per-state) (ignored when $(b,--engine) is \
-             given).")
   in
   let max_seconds_arg =
     Arg.(
@@ -619,14 +598,9 @@ let explore_cmd =
              and restoring).")
   in
   let run check n t k depth bound seed bfs max_states max_replay_steps max_seconds
-      fingerprints engine_opt symmetry per_state domains backend delta gst trace_out
+      fingerprints engine symmetry domains backend delta gst trace_out
       metrics_out progress_seconds search_summary =
     let strategy = if bfs then Explorer.Bfs else Explorer.Dfs in
-    let engine =
-      match engine_opt with
-      | Some e -> e
-      | None -> if per_state then Explorer.Per_state else Explorer.Path
-    in
     (* flag-compatibility gate: reject inert or impossible combinations
        loudly instead of silently ignoring them *)
     if symmetry && engine <> Explorer.Snapshot then begin
@@ -869,7 +843,7 @@ let explore_cmd =
     Term.(
       const run $ check_arg $ n_arg $ t_arg $ k_arg $ depth_arg $ bound_arg $ seed_arg
       $ bfs_arg $ max_states_arg $ max_replay_arg $ max_seconds_arg $ fingerprints_arg
-      $ engine_arg $ symmetry_arg $ per_state_arg $ domains_arg $ backend_arg $ delta_arg
+      $ engine_arg $ symmetry_arg $ domains_arg $ backend_arg $ delta_arg
       $ gst_arg $ trace_out_arg $ metrics_out_arg $ progress_seconds_arg
       $ search_summary_arg)
 
@@ -1079,75 +1053,6 @@ let fuzz_cmd =
       $ backend_arg $ delta_arg $ gst_arg $ trace_out_arg $ metrics_out_arg
       $ progress_seconds_arg)
 
-(* -------------------------------------------------------------- serve *)
-
-let serve_cmd =
-  let shards_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "shards" ] ~docv:"S" ~doc:"Lock stripes in the session store.")
-  in
-  let capacity_arg =
-    Arg.(
-      value & opt int 1024
-      & info [ "capacity" ] ~docv:"C"
-          ~doc:"Initial session slots per shard (grows by doubling).")
-  in
-  let quantum_arg =
-    Arg.(
-      value & opt int 1024
-      & info [ "quantum" ] ~docv:"Q"
-          ~doc:"Default work units granted per session per batch round.")
-  in
-  let serve_domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"D"
-          ~doc:"Domains sweeping shard ranges in parallel during rounds.")
-  in
-  let gc_tune_arg =
-    Arg.(
-      value & flag
-      & info [ "gc-tune" ]
-          ~doc:
-            "Apply the serving GC profile: larger minor heap and laxer space \
-             overhead, trading memory for fewer collections on the step path.")
-  in
-  let run shards capacity quantum domains gc_tune trace_out metrics_out =
-    if shards < 1 || capacity < 1 || quantum < 1 || domains < 1 then begin
-      Fmt.epr "serve: --shards, --capacity, --quantum and --domains must be >= 1@.";
-      exit 1
-    end;
-    let server =
-      Setsync_serve.Server.create ~shards ~capacity ~quantum ~domains ~gc_tune
-        ?trace_out ?metrics_out ()
-    in
-    Setsync_serve.Server.run_loop server stdin stdout
-  in
-  Cmd.v
-    (Cmd.info "serve" ~doc:"Multi-tenant scenario server (NDJSON on stdin/stdout)"
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Long-running server multiplexing many fd/solve/fuzz/explore sessions \
-              over a sharded session store with batched stepping. Speaks one JSON \
-              object per line on stdin/stdout (schema $(b,setsync-serve/1)): \
-              $(b,hello), $(b,open), $(b,open-batch), $(b,step), $(b,round), \
-              $(b,run), $(b,result), $(b,metrics), $(b,close), $(b,drain), \
-              $(b,stats), $(b,flush), $(b,shutdown). Served runs are \
-              byte-identical to the one-shot subcommands: the same harness code \
-              executes, suspended cooperatively every $(b,--quantum) work units.";
-           `P
-             "With $(b,--trace-out) closing sessions' event rings are appended as \
-              JSONL (each event tagged with its sid) by a dedicated flusher domain \
-              off the step path; $(b,--metrics-out) writes the server registry at \
-              shutdown.";
-         ])
-    Term.(
-      const run $ shards_arg $ capacity_arg $ quantum_arg $ serve_domains_arg
-      $ gc_tune_arg $ trace_out_arg $ metrics_out_arg)
-
 let () =
   let doc = "partial synchrony based on set timeliness (PODC 2009), executable" in
   let info = Cmd.info "setsync" ~version:"1.0.0" ~doc in
@@ -1163,5 +1068,4 @@ let () =
             trace_report_cmd;
             explore_cmd;
             fuzz_cmd;
-            serve_cmd;
           ]))

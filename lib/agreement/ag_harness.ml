@@ -81,8 +81,8 @@ let make_bundle ~problem ~inputs ?initial_timeout ?(solver = `Auto) store =
     }
   end
 
-let execute ~problem ~inputs ~source ~max_steps ?fault ?total ?extra_body ?boost ?substrate
-    ?on_step:caller_on_step ?obs bundle =
+let execute ~problem ~inputs ~source ~max_steps ?fault ?total ?extra_body ?boost ?substrate ?obs
+    bundle =
   let { Problem.n; _ } = problem in
   (* The executor universe may be wider than the problem: processes
      [n..total-1] run [extra_body] (register owners under the net
@@ -105,7 +105,6 @@ let execute ~problem ~inputs ~source ~max_steps ?fault ?total ?extra_body ?boost
   List.iter (fun (p, s) -> crash_budget.(p) <- s) (Option.value fault ~default:[]);
   let steps_of = Array.make total 0 in
   let on_step ~global ~proc =
-    (match caller_on_step with Some f -> f ~global ~proc | None -> ());
     steps_of.(proc) <- steps_of.(proc) + 1;
     (* record the first step at which each decision became visible *)
     let now = bundle.snapshot_decisions () in
@@ -167,18 +166,17 @@ let execute ~problem ~inputs ~source ~max_steps ?fault ?total ?extra_body ?boost
   }
 
 let solve ~problem ~inputs ~source ~max_steps ?fault ?initial_timeout ?solver ?store ?total
-    ?extra_body ?boost ?substrate ?on_step ?obs () =
+    ?extra_body ?boost ?substrate ?obs () =
   let store = match store with Some s -> s | None -> Store.create () in
   let bundle = make_bundle ~problem ~inputs ?initial_timeout ?solver store in
-  execute ~problem ~inputs ~source ~max_steps ?fault ?total ?extra_body ?boost ?substrate
-    ?on_step ?obs bundle
+  execute ~problem ~inputs ~source ~max_steps ?fault ?total ?extra_body ?boost ?substrate ?obs
+    bundle
 
-let solve_adaptive ~problem ~inputs ~make_source ~max_steps ?fault ?initial_timeout ?on_step
-    ?obs () =
+let solve_adaptive ~problem ~inputs ~make_source ~max_steps ?fault ?initial_timeout ?obs () =
   let store = Store.create () in
   let bundle = make_bundle ~problem ~inputs ?initial_timeout store in
   let source = make_source ~view:bundle.view in
-  execute ~problem ~inputs ~source ~max_steps ?fault ?on_step ?obs bundle
+  execute ~problem ~inputs ~source ~max_steps ?fault ?obs bundle
 
 let ok outcome = Checker.ok outcome.report
 

@@ -32,7 +32,6 @@ val solve :
   ?extra_body:(Setsync_schedule.Proc.t -> unit -> unit) ->
   ?boost:Setsync_runtime.Executor.boost ->
   ?substrate:Setsync_runtime.Substrate.t ->
-  ?on_step:(global:int -> proc:Setsync_schedule.Proc.t -> unit) ->
   ?obs:Setsync_obs.Obs.t ->
   unit ->
   outcome
@@ -57,10 +56,6 @@ val solve :
     the crashed/starved sets (owners are starved by construction under
     a clients-only source). The source's universe must be [total].
 
-    [on_step] is invoked once per executed global step, before the
-    harness's own decision sampling — the multi-tenant serve layer uses
-    it as a deterministic yield point; it must not touch shared state.
-
     [obs] (also forwarded to the executor) records each decision's
     first-visible step into the [agreement.decision_latency_steps]
     histogram, counts decisions into [agreement.decided], and — when
@@ -75,7 +70,6 @@ val solve_adaptive :
   max_steps:int ->
   ?fault:Setsync_runtime.Fault.plan ->
   ?initial_timeout:int ->
-  ?on_step:(global:int -> proc:Setsync_schedule.Proc.t -> unit) ->
   ?obs:Setsync_obs.Obs.t ->
   unit ->
   outcome

@@ -61,21 +61,17 @@ type report = {
 }
 
 val run_agreement :
-  ?on_step:(global:int -> proc:Setsync_schedule.Proc.t -> unit) ->
   ?obs:Setsync_obs.Obs.t ->
   spec ->
   report
 (** Build and run the scenario. The witness sets are seed-chosen with
     [witness_p ⊆ witness_q]; the crash plan kills [crashes] seed-chosen
     processes (never the designated survivor of [witness_p]) at
-    seed-chosen early times. [on_step] fires once per executed global
-    step (the serve layer's deterministic yield point — it must not
-    perturb the run). [obs] is forwarded to
+    seed-chosen early times. [obs] is forwarded to
     {!Setsync_agreement.Ag_harness.solve} (decision-latency histogram,
     executor step metrics, decide/step events). *)
 
 val run_detector :
-  ?on_step:(global:int -> proc:Setsync_schedule.Proc.t -> unit) ->
   ?obs:Setsync_obs.Obs.t ->
   spec ->
   Setsync_detector.Fd_harness.result * bool

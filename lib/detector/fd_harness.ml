@@ -19,7 +19,7 @@ type result = {
 }
 
 let run ~params ~source ~max_steps ?(fault = Fault.no_faults) ?initial_timeout
-    ?stop_after_stable ?margin ?on_step:caller_on_step ?obs () =
+    ?stop_after_stable ?margin ?obs () =
   Kanti_omega.check_params params;
   let { Kanti_omega.n; t; k } = params in
   let store = Store.create () in
@@ -39,7 +39,6 @@ let run ~params ~source ~max_steps ?(fault = Fault.no_faults) ?initial_timeout
   let global_now = ref 0 in
   let ev = match obs with Some o when Obs.events_on o -> Some o.Obs.events | Some _ | None -> None in
   let on_step ~global ~proc =
-    (match caller_on_step with Some f -> f ~global ~proc | None -> ());
     global_now := global;
     steps_of.(proc) <- steps_of.(proc) + 1;
     let p = processes.(proc) in
@@ -84,10 +83,13 @@ let run ~params ~source ~max_steps ?(fault = Fault.no_faults) ?initial_timeout
             match survivors with
             | [] -> true
             | s0 :: rest ->
+                (* the common winnerset must hold a survivor: one that
+                   names only crashed processes has yet to move *)
                 let w0 = Kanti_omega.winnerset processes.(s0) in
-                List.for_all
-                  (fun p -> Procset.equal (Kanti_omega.winnerset processes.(p)) w0)
-                  rest)
+                Procset.exists survivor w0
+                && List.for_all
+                     (fun p -> Procset.equal (Kanti_omega.winnerset processes.(p)) w0)
+                     rest)
   in
   let body proc () = Kanti_omega.forever processes.(proc) in
   let run = Executor.run ~n ~source ~max_steps ~fault ?stop ~on_step ?obs body in

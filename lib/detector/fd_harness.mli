@@ -25,21 +25,18 @@ val run :
   ?initial_timeout:int ->
   ?stop_after_stable:int ->
   ?margin:int ->
-  ?on_step:(global:int -> proc:Setsync_schedule.Proc.t -> unit) ->
   ?obs:Setsync_obs.Obs.t ->
   unit ->
   result
-(** [stop_after_stable w] ends the run early once every live process
-    has completed at least one iteration and no live process's
-    winnerset has changed for [w] consecutive global steps — a
+(** [stop_after_stable w] ends the run early once every planned crash
+    has happened, every survivor (a process [fault] never crashes) has
+    completed at least one iteration, the survivors agree on a
+    winnerset that holds a survivor, and no survivor's winnerset has
+    changed for [w] consecutive global steps — a
     convergence-detection optimization for experiments; leave it unset
     for fixed-length runs (the methodologically conservative mode used
     by the test-suite's correctness assertions). [margin] is passed to
     the validators.
-
-    [on_step] is invoked once per executed global step, before the
-    harness's own output sampling — the multi-tenant serve layer uses
-    it as a deterministic yield point; it must not touch shared state.
 
     [obs] (also forwarded to the executor) counts runs into
     [detector.runs], records the winner-stabilization step in the

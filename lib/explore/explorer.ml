@@ -66,15 +66,9 @@ type config = {
   telemetry : bool;
 }
 
-let config ?(strategy = Dfs) ?(prune_fingerprints = true) ?(sleep_sets = true) ?path_replay
-    ?engine ?(symmetry = false) ?(limits = Budget.unlimited) ?(fault = Fault.no_faults)
-    ?(telemetry = false) ~depth () =
-  let engine =
-    match (engine, path_replay) with
-    | Some e, _ -> e
-    | None, Some false -> Per_state
-    | None, (Some true | None) -> Path
-  in
+let config ?(strategy = Dfs) ?(prune_fingerprints = true) ?(sleep_sets = true)
+    ?(engine = Path) ?(symmetry = false) ?(limits = Budget.unlimited)
+    ?(fault = Fault.no_faults) ?(telemetry = false) ~depth () =
   if symmetry && engine <> Snapshot then
     invalid_arg "Explorer.config: symmetry reduction requires the snapshot engine";
   {
@@ -440,7 +434,9 @@ type 'obs engine = {
       (* some pending safety property is schedule-sensitive: pruned
          interleavings must be materialized before being discarded *)
   e_fp_check : string -> depth:int -> bool;  (* true = expand *)
-  e_on_visit : unit -> unit;  (* global-budget hook *)
+  e_visited : int Atomic.t option;
+      (* parallel only: the global visit count the shared state budget
+         is checked against *)
   e_on_replay : steps:int -> unit;  (* global-budget hook *)
   e_over_visit : unit -> bool;
       (* states/wall budget check, consulted before each visit (a visit
@@ -453,6 +449,10 @@ type 'obs engine = {
   e_ev : Events.t option;  (* event sink, [None] when tracing is off *)
   e_worker : int;  (* worker id stamped on emitted events *)
 }
+
+let note_visit eng =
+  Budget.note_state eng.e_meter;
+  match eng.e_visited with Some c -> Atomic.incr c | None -> ()
 
 (* Replay one prefix and fold it into the exploration: check
    properties, decide expansion, push children. *)
@@ -501,8 +501,7 @@ let process_prefix eng ~push rev_steps =
     end
   end
   else begin
-    Budget.note_state meter;
-    eng.e_on_visit ();
+    note_visit eng;
     Budget.note_depth meter depth;
     let state = { depth; prefix = Schedule.of_list ~n:sut.n steps; run; snapshot; obs } in
     if eng.e_pending_safety () then Budget.note_safety_check meter;
@@ -647,8 +646,7 @@ let process_descent eng ~push ~synthesize rev_start parent_tbl0 =
     else if eng.e_stop_now () then ()
     else if eng.e_over_visit () then Budget.mark_truncated meter
     else begin
-      Budget.note_state meter;
-      eng.e_on_visit ();
+      note_visit eng;
       Budget.note_depth meter d;
       let state =
         Mirror.state m ~depth:d ~prefix:(Schedule.of_list ~n (List.rev !cur_rev))
@@ -1148,8 +1146,7 @@ let rec snapshot_visit ?push eng c ~hb ~progress ~over ~on_truncate ~pending ~de
     | Some sink -> Events.emit sink ~worker:eng.e_worker ~args ~cat:"explorer" name
     | None -> ()
   in
-  Budget.note_state meter;
-  eng.e_on_visit ();
+  note_visit eng;
   Budget.note_depth meter depth;
   let state = mc_state c ~depth ~rev in
   if eng.e_pending_safety () then Budget.note_safety_check meter;
@@ -1226,7 +1223,7 @@ let rec snapshot_visit ?push eng c ~hb ~progress ~over ~on_truncate ~pending ~de
 
 (* ------------------------------------------------------- sequential *)
 
-let explore_seq ?obs ?on_visit ?on_progress ?(progress_interval = 1.0) ~sut ~properties
+let explore_seq ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~properties
     config =
   validate_explore ~sut config;
   let meter = Budget.start config.limits in
@@ -1274,7 +1271,7 @@ let explore_seq ?obs ?on_visit ?on_progress ?(progress_interval = 1.0) ~sut ~pro
           | Some _ | None ->
               Hashtbl.replace fingerprints fp depth;
               true);
-      e_on_visit = (match on_visit with Some f -> f | None -> fun () -> ());
+      e_visited = None;
       e_on_replay = (fun ~steps:_ -> ());
       e_over_visit = (fun () -> Budget.over_visit meter);
       e_over_steps = (fun () -> Budget.over_steps meter);
@@ -1483,7 +1480,7 @@ let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~prop
           e_pending_safety = pending_safety;
           e_pending_sched_safety = pending_sched_safety;
           e_fp_check = Parallel.Shard_tbl.check_and_record fingerprints;
-          e_on_visit = (fun () -> Atomic.incr visited_g);
+          e_visited = Some visited_g;
           e_on_replay = (fun ~steps -> ignore (Atomic.fetch_and_add replay_steps_g steps));
           e_over_visit = over_visit_gauge;
           e_over_steps = over_steps_gauge;
@@ -1606,15 +1603,9 @@ let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~prop
     engine = config.engine;
   }
 
-let explore ?(domains = 1) ?obs ?on_visit ?on_progress ?progress_interval ~sut ~properties
-    config =
+let explore ?(domains = 1) ?obs ?on_progress ?progress_interval ~sut ~properties config =
   if domains < 1 then invalid_arg "Explorer.explore: domains must be >= 1";
-  if domains > 1 && on_visit <> None then
-    invalid_arg
-      "Explorer.explore: on_visit is single-domain only (the parallel engine owns the \
-       visit hook for its global budget)";
-  if domains = 1 then
-    explore_seq ?obs ?on_visit ?on_progress ?progress_interval ~sut ~properties config
+  if domains = 1 then explore_seq ?obs ?on_progress ?progress_interval ~sut ~properties config
   else begin
     (match config.strategy with
     | Custom _ ->

@@ -165,7 +165,6 @@ val config :
   ?strategy:strategy ->
   ?prune_fingerprints:bool ->
   ?sleep_sets:bool ->
-  ?path_replay:bool ->
   ?engine:engine_kind ->
   ?symmetry:bool ->
   ?limits:Budget.limits ->
@@ -175,11 +174,8 @@ val config :
   unit ->
   config
 (** Defaults: DFS, both reductions on, [Path] engine, symmetry off,
-    unlimited budget, no faults, telemetry off. [?path_replay] is the
-    legacy spelling of the engine choice ([true] = [Path], [false] =
-    [Per_state]) and is overridden by [?engine] when both are given.
-    [~symmetry:true] without [~engine:Snapshot] raises
-    [Invalid_argument]. *)
+    unlimited budget, no faults, telemetry off. [~symmetry:true]
+    without [~engine:Snapshot] raises [Invalid_argument]. *)
 
 type verdict =
   | Ok_bounded
@@ -217,7 +213,6 @@ type progress = {
 val explore :
   ?domains:int ->
   ?obs:Setsync_obs.Obs.t ->
-  ?on_visit:(unit -> unit) ->
   ?on_progress:(progress -> unit) ->
   ?progress_interval:float ->
   sut:'obs sut ->
@@ -226,12 +221,6 @@ val explore :
   report
 (** Exploration stops when the frontier empties, a budget limit fires
     (stats.truncated), or every property already has a counterexample.
-
-    [on_visit] fires once per visited state — the serve layer's
-    deterministic yield point; it must not perturb the search.
-    Single-domain only: with [domains > 1] the parallel engine owns the
-    visit hook for its global budget, so passing [on_visit] raises
-    [Invalid_argument].
 
     [obs] opts the exploration into observability. Metrics (recorded at
     the end of the run, from the same meters the report prints, so the
@@ -262,7 +251,7 @@ val explore :
     which counterexample is found first and, under fingerprint pruning,
     the exact visited/pruned split (see DESIGN.md §8). Replay
     accounting ([stats.replays]/[replay_steps]) is mode-specific under
-    [path_replay]: sequential descents synthesize commutation prunes
+    the [Path] engine: sequential descents synthesize commutation prunes
     from sibling footprints without replaying them, while parallel
     workers discover prunes on arrival with the replay already paid —
     both are deterministic per mode, but they are not equal across

@@ -69,7 +69,7 @@ let initial_candidates ~env ~fault ~len rng =
     (fun schedule -> { Mutate.schedule; fault })
     ((rr :: contract_seeds) @ randoms)
 
-let run ?obs ?on_exec ?on_progress ?(progress_interval = 1.0) ?(live = Generators.all_live)
+let run ?obs ?on_progress ?(progress_interval = 1.0) ?(live = Generators.all_live)
     ?(contracts = []) ?(fault = Fault.no_faults) ?max_crashes ?(len = 96) ?(stride = 1)
     ?(limits = Budget.unlimited) ?(seeds = []) ~sut ~properties ~seed () =
   Proc.check_n sut.Explorer.n;
@@ -137,7 +137,6 @@ let run ?obs ?on_exec ?on_progress ?(progress_interval = 1.0) ?(live = Generator
      shrinking (a probe hit that does not reproduce is counted as
      spurious and fuzzing goes on) *)
   let execute (cand : Mutate.candidate) =
-    (match on_exec with Some f -> f () | None -> ());
     incr execs;
     Budget.note_state meter;
     let novel = ref 0 in

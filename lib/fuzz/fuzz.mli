@@ -59,7 +59,6 @@ type progress = {
 
 val run :
   ?obs:Setsync_obs.Obs.t ->
-  ?on_exec:(unit -> unit) ->
   ?on_progress:(progress -> unit) ->
   ?progress_interval:float ->
   ?live:(Setsync_schedule.Proc.t -> bool) ->
@@ -93,10 +92,6 @@ val run :
     {!Setsync_schedule.Generators.net_adversary} bursts.
     [contracts] constrains every candidate to the declared timeliness
     contracts and enables contract-preserving regeneration.
-
-    [on_exec] fires once at the start of every schedule execution —
-    the serve layer's deterministic yield point; it must not perturb
-    the run.
 
     [obs] opts into observability: counters [fuzz.execs],
     [fuzz.replay_steps], [fuzz.novel] (digests first seen),

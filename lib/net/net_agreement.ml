@@ -8,13 +8,11 @@ type result = {
   outcome : Ag_harness.outcome;
   stats : Net.stats;
   ops : int;
-  mode : Netmem.mode;
 }
 
 (* Round-robin over the clients only, inside a [total]-wide universe:
    owners never appear in the source — their serve turns come from the
-   round policy (batched) or from emulation-style interleaving the
-   per-op cross-backend tests use. Skips dead clients so the rotation
+   round policy. Skips dead clients so the rotation
    keeps moving; if every client is dead the next cursor client is
    emitted anyway and the harness's stop condition ends the run. *)
 let clients_source ~clients ~total ~live =
@@ -27,7 +25,7 @@ let clients_source ~clients ~total ~live =
       in
       scan 0)
 
-let solve ?(solver = `Auto) ?(mode = Netmem.Batched) ?(owners = 1) ?resend_after ?max_wait
+let solve ?(solver = `Auto) ?(owners = 1) ?resend_after ?max_wait
     ?initial_timeout ?obs ~problem ~inputs ~combined ~max_steps () =
   let { Problem.n; _ } = problem in
   let total = n + owners in
@@ -35,22 +33,15 @@ let solve ?(solver = `Auto) ?(mode = Netmem.Batched) ?(owners = 1) ?resend_after
   let net =
     Net.create ?obs ~store ~n:total ~adversary:combined.Adversary.adversary ()
   in
-  let nm = Netmem.install ~mode ?resend_after ?max_wait ~net ~store ~clients:n ~owners () in
-  (* batched: clients-only rotation, owner turns come from the round
-     policy. per-op: owners must be in the rotation — without a boost
-     nothing else ever grants them a serve step. *)
-  let source ~live =
-    match mode with
-    | Netmem.Batched -> clients_source ~clients:n ~total ~live
-    | Netmem.Per_op -> clients_source ~clients:total ~total ~live
-  in
+  let nm = Netmem.install ?resend_after ?max_wait ~net ~store ~clients:n ~owners () in
+  let source ~live = clients_source ~clients:n ~total ~live in
   let outcome =
     Ag_harness.solve ~problem ~inputs ~source ~max_steps ~fault:combined.Adversary.fault
       ?initial_timeout ~solver ~store ~total
       ~extra_body:(fun p -> Netmem.owner_body nm p)
       ~boost:(Netmem.round_policy nm) ~substrate:(Net.substrate net) ?obs ()
   in
-  { outcome; stats = Net.stats net; ops = Netmem.ops_completed nm; mode }
+  { outcome; stats = Net.stats net; ops = Netmem.ops_completed nm }
 
 (* The shm reference for verdict comparisons: same problem, same
    inputs, same solver, plain store, round-robin source. *)

@@ -4,7 +4,7 @@
     backend: clients [0..n-1] run the solver against a store whose
     registers are routed through {!Netmem}, owners [n..n+owners-1]
     serve them, the executor universe is widened accordingly, and the
-    round policy grants owners serve turns in batched mode. The crash
+    round policy grants owners serve turns. The crash
     side of an {!Adversary.combined} becomes the executor's fault
     plan; the loss side drives the channels. *)
 
@@ -12,12 +12,10 @@ type result = {
   outcome : Setsync_agreement.Ag_harness.outcome;
   stats : Net.stats;
   ops : int;  (** routed register ops completed ({!Netmem.ops_completed}) *)
-  mode : Netmem.mode;
 }
 
 val solve :
   ?solver:[ `Auto | `Paxos ] ->
-  ?mode:Netmem.mode ->
   ?owners:int ->
   ?resend_after:int ->
   ?max_wait:int ->
@@ -29,8 +27,7 @@ val solve :
   max_steps:int ->
   unit ->
   result
-(** Solve [(t,k,n)]-agreement over messages. [mode] defaults to
-    [Batched], [owners] to 1. Set [resend_after] when the adversary
+(** Solve [(t,k,n)]-agreement over messages. [owners] defaults to 1. Set [resend_after] when the adversary
     drops messages (it is the liveness mechanism: without it a dropped
     request parks its client until the step budget). The source is
     round-robin over live clients; owners step only via the round

@@ -7,7 +7,6 @@ module Executor = Setsync_runtime.Executor
 module Explorer = Setsync_explore.Explorer
 module Property = Setsync_explore.Property
 module Systems = Setsync_explore.Systems
-module Kanti_omega = Setsync_detector.Kanti_omega
 
 (* ------------------------------------------ CT timeout detector SUT *)
 
@@ -126,60 +125,6 @@ let kset_blind ?obs ?rounds ~inputs ~adversary () =
           o.Systems.decisions);
   }
 
-(* ------------------------------- kanti_omega over routed registers *)
-
-(* How many registers the detector allocates for these params — probed
-   against a scratch store so the owner count can match. *)
-let kanti_register_count params =
-  let scratch = Store.create () in
-  ignore (Kanti_omega.create_shared scratch params);
-  Store.register_count scratch
-
-let kanti_over_net ?obs ?initial_timeout ?owners ~params ~adversary () =
-  Kanti_omega.check_params params;
-  let clients = params.Kanti_omega.n in
-  let owners =
-    match owners with Some o -> o | None -> kanti_register_count params
-  in
-  if owners < 1 then invalid_arg "kanti_over_net: owners >= 1";
-  let total = clients + owners in
-  {
-    Explorer.n = total;
-    fresh =
-      (fun ~store ->
-        let net = Net.create ?obs ~store ~n:total ~adversary () in
-        let nm = Netmem.install ~net ~store ~clients ~owners () in
-        let shared = Kanti_omega.create_shared store params in
-        let procs =
-          Array.init clients (fun p ->
-              Kanti_omega.make_process ?initial_timeout shared params ~proc:p)
-        in
-        {
-          Explorer.body =
-            (fun p () ->
-              if p < clients then Kanti_omega.forever procs.(p)
-              else Netmem.owner_body nm p ());
-          observe =
-            (fun () ->
-              {
-                Systems.fd_outputs = Array.map Kanti_omega.fd_output procs;
-                winnersets = Array.map Kanti_omega.winnerset procs;
-                iterations = Array.map Kanti_omega.iterations procs;
-              });
-          substrate = Some (Net.substrate net);
-          machine = None;
-        });
-    obs_fingerprint =
-      (fun o ->
-        Fmt.str "%a|%a|%a"
-          Fmt.(array ~sep:semi Procset.pp)
-          o.Systems.fd_outputs
-          Fmt.(array ~sep:semi Procset.pp)
-          o.Systems.winnersets
-          Fmt.(array ~sep:semi int)
-          o.Systems.iterations);
-  }
-
 (* --------------------------------------------- CLI / bench harness *)
 
 type ct_run = {
@@ -191,8 +136,7 @@ type ct_run = {
   net_stats : Net.stats;
 }
 
-let run_ct ?obs ?initial_timeout ?backoff ?on_step:caller_on_step ~clients ~adversary
-    ~max_steps () =
+let run_ct ?obs ?initial_timeout ?backoff ~clients ~adversary ~max_steps () =
   Proc.check_n clients;
   let gst_hint = adversary.Adversary.gst in
   let store = Store.create () in
@@ -203,8 +147,7 @@ let run_ct ?obs ?initial_timeout ?backoff ?on_step:caller_on_step ~clients ~adve
   in
   let expected = 0 in
   let last_bad = ref (-1) in
-  let on_step ~global ~proc =
-    (match caller_on_step with Some f -> f ~global ~proc | None -> ());
+  let on_step ~global ~proc:_ =
     if Array.exists (fun d -> Ct_detector.leader d <> expected) dets then
       last_bad := global
   in

@@ -38,24 +38,6 @@ val kset_blind :
 (** {!Net_kset} over [Array.length inputs] processes — pair with
     {!Setsync_explore.Property.kset_agreement}. *)
 
-val kanti_register_count : Setsync_detector.Kanti_omega.params -> int
-(** Registers the k-anti-Ω detector allocates for these parameters
-    (probed on a scratch store). *)
-
-val kanti_over_net :
-  ?obs:Setsync_obs.Obs.t ->
-  ?initial_timeout:int ->
-  ?owners:int ->
-  params:Setsync_detector.Kanti_omega.params ->
-  adversary:Adversary.t ->
-  unit ->
-  Setsync_explore.Systems.detector_obs Setsync_explore.Explorer.sut
-(** The unchanged shared-memory k-anti-Ω detector running over
-    {!Netmem}-routed registers: processes [0..n-1] run the detector,
-    the next [owners] (default: one per register) serve them. The
-    observation matches {!Setsync_explore.Systems.kanti_detector}, so
-    cross-backend tests compare outputs structurally. *)
-
 type ct_run = {
   steps : int;
   stabilized_from : int option;
@@ -69,13 +51,10 @@ val run_ct :
   ?obs:Setsync_obs.Obs.t ->
   ?initial_timeout:int ->
   ?backoff:int ->
-  ?on_step:(global:int -> proc:Setsync_schedule.Proc.t -> unit) ->
   clients:int ->
   adversary:Adversary.t ->
   max_steps:int ->
   unit ->
   ct_run
 (** Round-robin CT run for the CLI and bench §N1: deterministic, so
-    [stabilized_from] is machine-independent for fixed parameters.
-    [on_step] fires once per executed global step — the serve layer's
-    deterministic yield point; it must not perturb the run. *)
+    [stabilized_from] is machine-independent for fixed parameters. *)

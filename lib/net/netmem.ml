@@ -3,7 +3,7 @@ module Register = Setsync_memory.Register
 module Store = Setsync_memory.Store
 module Fiber = Setsync_runtime.Fiber
 
-type mode = Per_op | Batched
+type mode = Batched
 
 exception Unserved of { rid : int; op : int }
 
@@ -30,7 +30,6 @@ type t = {
   net : Net.t;
   clients : int;
   owners : int;
-  mode : mode;
   resend_after : int option;
   max_wait : int option;
   handlers : (int, handler) Hashtbl.t;
@@ -47,7 +46,7 @@ type t = {
           register's high-water mark is stale — already applied, or
           superseded by an applied successor — and must be re-acked
           without applying, or the register regresses. *)
-  cstates : cstate array;  (** indexed by client proc; batched mode only *)
+  cstates : cstate array;  (** indexed by client proc *)
   mutable op_ctr : int;
   mutable completed : int;
 }
@@ -64,7 +63,7 @@ let fresh_op t =
   t.op_ctr <- t.op_ctr + 1;
   op
 
-(* ------------------------------------------------- batched-mode pump *)
+(* ------------------------------------------------------------- pump *)
 
 (* Transmit stashed ops in program order. An op may only go out while
    every unacked predecessor targets the same owner: per-channel FIFO
@@ -158,144 +157,70 @@ let route_for : type a. t -> a Register.t -> a Register.route option =
       h_write = (fun e -> match e with M.V v -> Register.write reg v | _ -> assert false);
     };
   let owner = owner_of t ~rid in
-  match t.mode with
-  | Per_op ->
-      (* One request per access, one reply awaited before returning.
-         The wait loop drains the inbox inside a single atomic, keeps
-         every message that is not the awaited reply — except replies
-         tagged with a foreign [op], which are this client's own dead
-         retransmission duplicates — and writes the kept list back so
-         the fiber still receives it (see netmem.mli). *)
-      let wait ~op ~on_reply =
-        let sent_at = Net.now t.net in
-        let last = ref sent_at in
-        let spins = ref 0 in
-        let rec go () =
-          let hit =
-            Fiber.atomic (fun () ->
-                let p = Net.current t.net in
-                let msgs = Net.drain_now t.net p in
-                let reply = ref None in
-                let keep =
-                  List.filter
-                    (fun m ->
-                      match m.Msg.payload with
-                      | Msg.Read_reply { rid = r; op = o; v; _ } when r = rid && o = op ->
-                          reply := Some (Some v);
-                          false
-                      | Msg.Write_ack { rid = r; op = o } when r = rid && o = op ->
-                          reply := Some None;
-                          false
-                      | Msg.Read_reply _ | Msg.Write_ack _ -> false
-                      | Msg.Hb | Msg.Value _ | Msg.Read_req _ | Msg.Write_req _ -> true)
-                    msgs
-                in
-                if msgs <> [] then Net.push_back_now t.net p keep;
-                (match (t.resend_after, !reply) with
-                | Some r, None when Net.now t.net - !last >= r ->
-                    last := Net.now t.net;
-                    Net.send_now t.net ~src:p ~dst:owner
-                      (match on_reply with
-                      | `Read -> Msg.Read_req { rid; op }
-                      | `Write req -> req)
-                | _ -> ());
-                !reply)
-          in
-          match hit with
-          | Some v ->
-              t.completed <- t.completed + 1;
-              v
-          | None ->
-              incr spins;
-              (match t.max_wait with
-              | Some w when !spins >= w -> raise (Unserved { rid; op })
-              | _ -> ());
-              go ()
-        in
-        go ()
-      in
-      let route_read () =
-        let op = fresh_op t in
-        Net.send t.net ~dst:owner (Msg.Read_req { rid; op });
-        match wait ~op ~on_reply:`Read with
-        | Some (M.V v) -> v
-        | Some _ -> assert false
-        | None -> assert false
-      in
-      let route_write v =
-        let op = fresh_op t in
-        let req = Msg.Write_req { rid; op; v = M.V v; pr = Register.render reg v } in
-        Net.send t.net ~dst:owner req;
-        match wait ~op ~on_reply:(`Write req) with
-        | None -> ()
-        | Some _ -> assert false
-      in
-      Some { Register.route_read; route_write }
-  | Batched ->
-      (* Writes stash and return — zero steps at the call site; the
-         pump transmits them and their acks retire silently. Reads
-         stash, then spin: each spin is one atomic that pumps (so the
-         request goes out, and replies flushed this very step are
-         absorbed). The success check runs BETWEEN atomics: the
-         substrate's pre-step hook pumps before the fiber resumes, so
-         a reply delivered this step is already parked in [got] when
-         the resumed code looks — consuming reply k and stashing op
-         k+1 then share one granted step, the hinge that takes C=1
-         from 1.5 to ~1.0 steps/op (DESIGN.md §10). *)
-      let route_read () =
-        let op = fresh_op t in
-        let o =
-          { op; p_rid = rid; owner; request = Msg.Read_req { rid; op }; last_send = 0 }
-        in
-        let stashed = ref false in
-        let spins = ref 0 in
-        let rec go () =
-          let st = t.cstates.(Net.current t.net) in
-          match List.assoc_opt op st.got with
-          | Some v ->
-              st.got <- List.remove_assoc op st.got;
-              st.blocked <- false;
-              t.completed <- t.completed + 1;
-              (match v with Some (M.V v) -> v | _ -> assert false)
-          | None ->
-              Fiber.atomic (fun () ->
-                  let p = Net.current t.net in
-                  let st = t.cstates.(p) in
-                  if not !stashed then begin
-                    st.outq <- st.outq @ [ o ];
-                    stashed := true
-                  end;
-                  pump t p;
-                  st.blocked <- not (List.mem_assoc op st.got));
-              incr spins;
-              (match t.max_wait with
-              | Some w when !spins >= w -> raise (Unserved { rid; op })
-              | _ -> ());
-              go ()
-        in
-        go ()
-      in
-      let route_write v =
-        let op = fresh_op t in
-        let o =
-          {
-            op;
-            p_rid = rid;
-            owner;
-            request = Msg.Write_req { rid; op; v = M.V v; pr = Register.render reg v };
-            last_send = 0;
-          }
-        in
-        (* stashed between atomics: this code runs inside the granted
-           step that resumed the fiber, so mutating the client's own
-           state here is race-free; the pump picks it up at this
-           client's next atomic or pre-step. *)
-        let p = Net.current t.net in
-        t.cstates.(p).outq <- t.cstates.(p).outq @ [ o ]
-      in
-      Some { Register.route_read; route_write }
+  (* Writes stash and return — zero steps at the call site; the
+     pump transmits them and their acks retire silently. Reads
+     stash, then spin: each spin is one atomic that pumps (so the
+     request goes out, and replies flushed this very step are
+     absorbed). The success check runs BETWEEN atomics: the
+     substrate's pre-step hook pumps before the fiber resumes, so
+     a reply delivered this step is already parked in [got] when
+     the resumed code looks — consuming reply k and stashing op
+     k+1 then share one granted step, the hinge that takes C=1
+     from 1.5 to ~1.0 steps/op (DESIGN.md §10). *)
+  let route_read () =
+    let op = fresh_op t in
+    let o =
+      { op; p_rid = rid; owner; request = Msg.Read_req { rid; op }; last_send = 0 }
+    in
+    let stashed = ref false in
+    let spins = ref 0 in
+    let rec go () =
+      let st = t.cstates.(Net.current t.net) in
+      match List.assoc_opt op st.got with
+      | Some v ->
+          st.got <- List.remove_assoc op st.got;
+          st.blocked <- false;
+          t.completed <- t.completed + 1;
+          (match v with Some (M.V v) -> v | _ -> assert false)
+      | None ->
+          Fiber.atomic (fun () ->
+              let p = Net.current t.net in
+              let st = t.cstates.(p) in
+              if not !stashed then begin
+                st.outq <- st.outq @ [ o ];
+                stashed := true
+              end;
+              pump t p;
+              st.blocked <- not (List.mem_assoc op st.got));
+          incr spins;
+          (match t.max_wait with
+          | Some w when !spins >= w -> raise (Unserved { rid; op })
+          | _ -> ());
+          go ()
+    in
+    go ()
+  in
+  let route_write v =
+    let op = fresh_op t in
+    let o =
+      {
+        op;
+        p_rid = rid;
+        owner;
+        request = Msg.Write_req { rid; op; v = M.V v; pr = Register.render reg v };
+        last_send = 0;
+      }
+    in
+    (* stashed between atomics: this code runs inside the granted
+       step that resumed the fiber, so mutating the client's own
+       state here is race-free; the pump picks it up at this
+       client's next atomic or pre-step. *)
+    let p = Net.current t.net in
+    t.cstates.(p).outq <- t.cstates.(p).outq @ [ o ]
+  in
+  Some { Register.route_read; route_write }
 
-let install ?(mode = Per_op) ?resend_after ?max_wait ~net ~store ~clients ~owners () =
+let install ?mode:(_ : mode option) ?resend_after ?max_wait ~net ~store ~clients ~owners () =
   if clients < 1 then invalid_arg "Netmem.install: need at least one client";
   if owners < 1 then invalid_arg "Netmem.install: need at least one owner";
   if clients + owners > Net.n net then
@@ -305,7 +230,6 @@ let install ?(mode = Per_op) ?resend_after ?max_wait ~net ~store ~clients ~owner
       net;
       clients;
       owners;
-      mode;
       resend_after;
       max_wait;
       handlers = Hashtbl.create 64;
@@ -318,15 +242,12 @@ let install ?(mode = Per_op) ?resend_after ?max_wait ~net ~store ~clients ~owner
     }
   in
   Store.set_router store { Store.route_for = (fun reg -> route_for t reg) };
-  if mode = Batched then
-    Net.set_step_hook net (Some (fun ~global:_ ~proc -> pump t proc));
+  Net.set_step_hook net (Some (fun ~global:_ ~proc -> pump t proc));
   t
 
 let clients t = t.clients
 
 let owners t = t.owners
-
-let mode t = t.mode
 
 let ops_completed t = t.completed
 
@@ -364,7 +285,7 @@ let owner_body t _p () =
    every pending request in one atomic), and the round advances without
    the client burning spin steps. Observer peeks only. *)
 let round_policy t ~global ~next =
-  if t.mode = Batched && next < t.clients && t.cstates.(next).blocked then begin
+  if next < t.clients && t.cstates.(next).blocked then begin
     let found = ref None in
     let o = ref t.clients in
     while !found = None && !o < t.clients + t.owners do

@@ -8,30 +8,24 @@
     client's [Shm.read]/[Shm.write] is routed
     ({!Setsync_memory.Register.route}) into a request message, the
     owner answers in a single serve step applying the authoritative
-    access to the underlying cell, and the client waits until the
-    reply lands.
+    access to the underlying cell, and a read waits until its reply
+    lands.
 
-    {b Modes.} [Per_op] (the default) issues one request per access
-    and blocks until its reply: under the synchronous adversary
-    (Δ = 1, GST = 0) with ops serialized, one access costs exactly
-    three steps — client send, owner serve, client recv — and the
-    shared-memory emulation schedules used by the cross-backend tests
-    expand each shm step [p] into [p, owner, p] accordingly. [Batched]
-    runs the round protocol: writes are stashed and return in zero
-    steps, a per-step pump transmits stashed ops and absorbs replies,
-    owners answer their whole inbox in one {!serve_batch} step, and
-    {!round_policy} (install as {!Setsync_runtime.Executor.run}'s
-    [boost]) grants owners serve turns while the next client is
-    parked — dropping amortized cost toward one step per op
-    (DESIGN.md §10 states the step-accounting contract).
+    {b Round protocol.} Writes are stashed and return in zero steps; a
+    per-step pump (the substrate's pre-step hook) transmits stashed
+    ops and absorbs replies; owners answer their whole inbox in one
+    {!serve_batch} step; and {!round_policy} (install as
+    {!Setsync_runtime.Executor.run}'s [boost]) grants owners serve
+    turns while the next client is parked — amortized cost approaches
+    one step per op (DESIGN.md §10 states the step-accounting
+    contract).
 
-    {b Ordering (batched).} Stashed ops are transmitted in program
-    order, and an op is only transmitted while every unacked
-    predecessor targets the same owner; per-channel FIFO then
-    serializes same-owner ops at the server. Reads block until their
-    value arrives. Single-writer registers plus this barrier give the
-    same register semantics the per-op mode provides, one client's
-    program at a time.
+    {b Ordering.} Stashed ops are transmitted in program order, and an
+    op is only transmitted while every unacked predecessor targets the
+    same owner; per-channel FIFO then serializes same-owner ops at the
+    server. Reads block until their value arrives. Single-writer
+    registers plus this barrier give atomic register semantics, one
+    client's program at a time.
 
     {b Duplicates and loss.} Every request carries a run-unique [op]
     tag echoed by the reply. With [resend_after] set, an unanswered
@@ -52,16 +46,20 @@
     algorithm's register count for a per-register owner, or fewer to
     shard.
 
-    {b Undelivered messages are preserved.} A client's reply wait
-    drains its inbox, consumes the awaited reply, and writes every
-    other message {e back} for the fiber — except replies tagged with
-    a foreign [op], which are by construction this client's own dead
+    {b Undelivered messages are preserved.} The pump drains a client's
+    inbox, retires the replies of its in-flight ops, and writes every
+    other message {e back} for the fiber — except replies matching no
+    in-flight op, which are by construction this client's own dead
     retransmission duplicates. Clients that mix routed registers with
     native messaging (heartbeats, values) therefore lose nothing. *)
 
 type t
 
-type mode = Per_op | Batched
+type mode = Batched
+(** The round protocol is the only one. The type and {!install}'s
+    ignored [?mode] argument remain only because the benchmark harness
+    ([perfbench/jobs.ml]) passes [~mode:Batched], and that harness is
+    kept unchanged so its runs compare across revisions. *)
 
 exception Unserved of { rid : int; op : int }
 (** Raised by a routed access that waited [max_wait] granted steps
@@ -80,18 +78,16 @@ val install :
   t
 (** Install the router on [store]: every register created {e after}
     this call is proxied (the network's own registers, created by
-    {!Net.create} before, stay local). [mode] defaults to [Per_op].
+    {!Net.create} before, stay local). [mode] is ignored.
     [resend_after] retransmits unanswered requests after that many
     network ticks; [max_wait] bounds reply waits in granted steps
-    (default: wait forever). Batched mode installs a pre-step hook on
-    [net] ({!Net.set_step_hook}). Raises [Invalid_argument] if
+    (default: wait forever). Installs the pump as [net]'s pre-step
+    hook ({!Net.set_step_hook}). Raises [Invalid_argument] if
     [clients + owners] exceeds the network size. *)
 
 val clients : t -> int
 
 val owners : t -> int
-
-val mode : t -> mode
 
 val ops_completed : t -> int
 (** Routed ops retired so far (reads returned, writes acked) — the
@@ -119,4 +115,4 @@ val round_policy : t -> global:int -> next:Setsync_schedule.Proc.t -> Setsync_sc
 (** The round policy, shaped for {!Setsync_runtime.Executor.run}'s
     [boost]: when the source's next pick is a client parked on a
     reply, grant the first owner with deliverable work a serve turn
-    first. Returns [None] outside batched mode. *)
+    first. *)

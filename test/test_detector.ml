@@ -435,6 +435,37 @@ let test_convergence_boundary () =
   check ~i:2 ~j:2 ~expected:false;
   check ~i:2 ~j:3 ~expected:true
 
+(* Regression for the early stop: [stop_after_stable] used to stop once
+   every survivor's winnerset had agreed for the window, without asking
+   that the common winnerset hold a survivor. On this fair S^1_{3,5}
+   instance (t=2, k=1, bound 4, two crashes; witness sets and crash
+   plan drawn from seed 417918 the way Scenario does) a 2000-step
+   window stopped the run while every survivor still named a crashed
+   process, ending Winner_unstable. *)
+let test_stop_needs_live_winner () =
+  let n = 5 and t = 2 and k = 1 and i = 1 and j = 3 and crashes = 2 in
+  let rng = Rng.create ~seed:417918 in
+  let order = Array.init n Fun.id in
+  Rng.shuffle rng order;
+  let p = Procset.of_list (Array.to_list (Array.sub order 0 i)) in
+  let q = Procset.of_list (Array.to_list (Array.sub order 0 j)) in
+  let victims =
+    Array.to_list order |> List.tl |> List.filteri (fun idx _ -> idx < crashes)
+  in
+  let fault = List.map (fun v -> (v, 1 + Rng.int rng 2000)) victims in
+  let contract = { Generators.p; q; bound = 4 } in
+  let source ~live = Generators.timely ~live ~n ~contract ~rng () in
+  let res =
+    Fd_harness.run ~params:(params ~n ~t ~k) ~source ~max_steps:200_000 ~fault
+      ~stop_after_stable:2_000 ()
+  in
+  (match res.Fd_harness.verdict with
+  | Anti_omega.Satisfied _ -> ()
+  | v -> Alcotest.failf "verdict: %a" Anti_omega.pp_verdict v);
+  match res.Fd_harness.winner_verdict with
+  | Anti_omega.Winner_stable _ -> ()
+  | v -> Alcotest.failf "winner: %a" Anti_omega.pp_winner_verdict v
+
 let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_kth_smallest_sorted ]
 
 let () =
@@ -475,6 +506,8 @@ let () =
           Alcotest.test_case "Omega special case" `Quick test_omega_special_case;
           Alcotest.test_case "output size invariant" `Quick test_output_size_invariant;
           Alcotest.test_case "initial timeout" `Quick test_initial_timeout;
+          Alcotest.test_case "early stop needs a live winner" `Quick
+            test_stop_needs_live_winner;
           Alcotest.test_case "convergence boundary (Thm 27)" `Slow test_convergence_boundary;
         ] );
       ("properties", qsuite);

@@ -572,7 +572,7 @@ let violated_names (r : Explorer.report) =
     r.Explorer.verdicts
   |> List.sort String.compare
 
-(* visit accounting, without the replay accounting: under [path_replay]
+(* visit accounting, without the replay accounting: under the path engine
    the sequential engine synthesizes commutation prunes from sibling
    footprints (no replay paid) while parallel workers discover them on
    arrival (replay already paid), so replays/replay_steps are
@@ -877,7 +877,7 @@ let test_engine_equiv_kset () =
 let test_engine_sched_sensitive_safety () =
   let report =
     Explorer.explore ~sut:(single_writer_sut ()) ~properties:[ no_p2p1_suffix ]
-      (Explorer.config ~prune_fingerprints:false ~sleep_sets:true ~path_replay:true
+      (Explorer.config ~prune_fingerprints:false ~sleep_sets:true ~engine:Explorer.Path
          ~depth:4 ())
   in
   (match verdict_of "no-p2p1-suffix" report with
@@ -1070,18 +1070,21 @@ let test_snapshot_requires_machine () =
 (* ------------------------------------------------------------------ *)
 (* (i) budget boundary semantics: "budget of k means at most k" *)
 
-let explore_single ~path_replay ~limits () =
+let explore_single ~engine ~limits () =
   Explorer.explore ~sut:(single_writer_sut ()) ~properties:[]
-    (Explorer.config ~prune_fingerprints:false ~sleep_sets:false ~path_replay ~limits
-       ~depth:4 ())
+    (Explorer.config ~prune_fingerprints:false ~sleep_sets:false ~engine ~limits ~depth:4 ())
 
 let test_budget_boundaries () =
   List.iter
-    (fun path_replay ->
+    (fun engine ->
       let label fmt =
-        Printf.sprintf "%s (path_replay=%b)" fmt path_replay
+        Printf.sprintf "%s (engine=%s)" fmt
+          (match engine with
+          | Explorer.Path -> "path"
+          | Explorer.Per_state -> "per-state"
+          | Explorer.Snapshot -> "snapshot")
       in
-      let run limits = (explore_single ~path_replay ~limits ()).Explorer.stats in
+      let run limits = (explore_single ~engine ~limits ()).Explorer.stats in
       (* the space is exactly 19 states (hand-counted in (a)) *)
       let s = run (Budget.limits ~max_states:0 ()) in
       Alcotest.(check int) (label "max_states=0 visits nothing") 0 s.Budget.visited;
@@ -1104,7 +1107,7 @@ let test_budget_boundaries () =
       let s = run (Budget.limits ~max_replay_steps:total ()) in
       Alcotest.(check bool) (label "exact step budget exhaustive") false s.Budget.truncated;
       Alcotest.(check int) (label "exact step budget visits all") 19 s.Budget.visited;
-      if path_replay then begin
+      if engine = Explorer.Path then begin
         (* the incremental accounting enforces the step cap to the
            single step: one short must cut the final visit *)
         let s = run (Budget.limits ~max_replay_steps:(total - 1) ()) in
@@ -1122,7 +1125,7 @@ let test_budget_boundaries () =
         Alcotest.(check bool) (label "cap short by >1 replay visits fewer") true
           (s.Budget.visited < 19)
       end)
-    [ false; true ]
+    [ Explorer.Per_state; Explorer.Path ]
 
 (* the snapshot engine enforces the same visit-budget contract; its
    step budget degenerates (no replay steps are ever paid): a positive

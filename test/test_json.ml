@@ -4,7 +4,7 @@
    truncated and trailing-garbage inputs,
    unknown-field tolerance of event_of_json, and seeded round-trip
    fuzzing of both values and events. The parser is what the CI
-   validator and the serve protocol run on, so its failure mode must
+   validator and trace-report run on, so its failure mode must
    always be [Error], never an exception or a silent misparse. *)
 
 module Json = Setsync_obs.Json

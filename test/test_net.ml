@@ -258,38 +258,6 @@ end)
 
 (* ------------------------------------------- registers over messages *)
 
-(* One client, one owner: write 42 then read it back. Under the
-   synchronous adversary each op is exactly three steps — client send,
-   owner serve, client recv — so write is global steps 0-2, read is
-   3-5, and step 6 (a pause) lets the client's post-recv code record
-   the value it read. *)
-let test_netmem_write_read () =
-  let store = Store.create () in
-  let net = Net.create ~store ~n:2 ~adversary:(Adversary.synchronous ~delta:1) () in
-  let nm = Netmem.install ~net ~store ~clients:1 ~owners:1 () in
-  let reg = Store.register store ~pp:Fmt.int ~name:"X" 0 in
-  let seen = ref None in
-  let body p () =
-    if p = 0 then begin
-      Shm.write reg 42;
-      seen := Some (Shm.read reg);
-      while true do
-        Net.pause net
-      done
-    end
-    else Netmem.owner_body nm p ()
-  in
-  let sched = [ 0; 1; 0; 0; 1; 0; 0 ] in
-  let run =
-    Executor.replay ~n:2 ~schedule:(Schedule.of_list ~n:2 sched) ~substrate:(Net.substrate net)
-      body
-  in
-  Alcotest.(check (option int)) "read own write" (Some 42) !seen;
-  Alcotest.(check int) "cell holds the value" 42 (Register.peek reg);
-  Alcotest.(check int) "authoritative write counted once" 1 (Register.writes reg);
-  Alcotest.(check int) "authoritative read counted once" 1 (Register.reads reg);
-  Alcotest.(check int) "7 scheduled steps" 7 (Run.total_steps run)
-
 let test_netmem_owner_mapping () =
   let store = Store.create () in
   let net = Net.create ~store ~n:5 ~adversary:(Adversary.synchronous ~delta:1) () in
@@ -311,62 +279,96 @@ let test_netmem_owner_mapping () =
 
 (* -------------------------------------- cross-backend equivalence *)
 
-(* Replay the unchanged k-anti-Ω detector on shared memory, recording
-   which register each step touched; expand every step [p] into
-   [p; owner; p] and run the same detector over message-served
-   registers on that schedule. Detector outputs must match exactly. *)
+(* Run the unchanged k-anti-Ω detector over batched routed registers
+   with one owner, recording the client of every request in the order
+   the owner serves it (a test-local owner body on [Netmem.serve]).
+   The owner applies each access atomically in that order, so it is a
+   linearization of the clients' register accesses, and shared memory
+   runs one access per step: replaying the shm detector on the served
+   client order must reproduce the register cells and every process's
+   output timeline. Net clients may run ahead of the served order
+   (stashed writes, a parked read), so the timelines are compared on
+   their common prefix. p0 is starved (one grant in 13), so the others
+   move the winnerset off it and the timelines are not constant. *)
 let test_kanti_cross_backend () =
-  let params = { Kanti_omega.n = 2; t = 1; k = 1 } in
-  let shm_len = 40 in
-  (* shared-memory run, tracing one register access per step *)
-  let trace = Trace.create ~capacity:4 in
-  let store = Store.create ~trace () in
+  let params = { Kanti_omega.n = 3; t = 1; k = 1 } in
+  let n = params.Kanti_omega.n in
+  (* distinct consecutive (fd_output, winnerset, iterations) per
+     process; every change is separated from the next by a blocking
+     read, so net and shm step granularities record the same values *)
+  let timeline procs =
+    let h = Array.make n [] in
+    let sample ~global:_ ~proc =
+      if proc < n then begin
+        let x = procs.(proc) in
+        let v =
+          Fmt.str "%a %a %d" Procset.pp (Kanti_omega.fd_output x) Procset.pp
+            (Kanti_omega.winnerset x) (Kanti_omega.iterations x)
+        in
+        match h.(proc) with prev :: _ when prev = v -> () | _ -> h.(proc) <- v :: h.(proc)
+      end
+    in
+    (h, sample)
+  in
+  (* net run: clients only in the source, owner turns from the round policy *)
+  let total = n + 1 in
+  let store = Store.create () in
+  let net = Net.create ~store ~n:total ~adversary:(Adversary.synchronous ~delta:1) () in
+  let nm = Netmem.install ~net ~store ~clients:n ~owners:1 () in
   let shared = Kanti_omega.create_shared store params in
-  let procs = Array.init 2 (fun p -> Kanti_omega.make_process shared params ~proc:p) in
-  let sched = Schedule.to_list (Source.take (Generators.round_robin ~n:2 ()) shm_len) in
-  let touched = Array.make shm_len "" in
-  let on_step ~global ~proc:_ =
-    match Trace.last trace with
-    | Some e -> touched.(global) <- e.Trace.register
-    | None -> Alcotest.fail "step without register access"
+  let procs = Array.init n (fun p -> Kanti_omega.make_process shared params ~proc:p) in
+  let served = ref [] in
+  let handle m =
+    (match m.Msg.payload with
+    | Msg.Read_req _ | Msg.Write_req _ -> served := m.Msg.src :: !served
+    | Msg.Hb | Msg.Value _ | Msg.Read_reply _ | Msg.Write_ack _ -> ());
+    Netmem.serve nm m
   in
+  let net_h, on_step = timeline procs in
+  let pattern = [ 1; 2; 1; 2; 1; 2; 1; 2; 1; 2; 1; 2; 0 ] in
   ignore
-    (Executor.replay ~n:2 ~schedule:(Schedule.of_list ~n:2 sched) ~on_step (fun p () ->
-         Kanti_omega.forever procs.(p)));
-  let shm_obs p = (Kanti_omega.fd_output p, Kanti_omega.winnerset p, Kanti_omega.iterations p) in
-  let expect = Array.map shm_obs procs in
-  (* net run over routed registers *)
-  let owners = Net_systems.kanti_register_count params in
-  let total = 2 + owners in
-  let store2 = Store.create () in
-  let net = Net.create ~store:store2 ~n:total ~adversary:(Adversary.synchronous ~delta:1) () in
-  let nm = Netmem.install ~net ~store:store2 ~clients:2 ~owners () in
-  let shared2 = Kanti_omega.create_shared store2 params in
-  let procs2 = Array.init 2 (fun p -> Kanti_omega.make_process shared2 params ~proc:p) in
-  let expanded =
-    List.concat
-      (List.mapi
-         (fun i p ->
-           match Netmem.owner_of_name nm touched.(i) with
-           | Some o -> [ p; o; p ]
-           | None -> Alcotest.fail ("no owner for " ^ touched.(i)))
-         sched)
-  in
-  let run =
-    Executor.replay ~n:total
-      ~schedule:(Schedule.of_list ~n:total expanded)
-      ~substrate:(Net.substrate net)
-      (fun p () ->
-        if p < 2 then Kanti_omega.forever procs2.(p) else Netmem.owner_body nm p ())
-  in
-  Alcotest.(check int) "3x the steps" (3 * shm_len) (Run.total_steps run);
-  Array.iteri
-    (fun p (fd, ws, iters) ->
-      let fd2, ws2, iters2 = shm_obs procs2.(p) in
-      Alcotest.(check bool) "fd_output equal" true (Procset.equal fd fd2);
-      Alcotest.(check bool) "winnerset equal" true (Procset.equal ws ws2);
-      Alcotest.(check int) "iterations equal" iters iters2)
-    expect
+    (Executor.run ~n:total
+       ~source:(fun ~live:_ -> Source.cycle (Schedule.of_list ~n:total pattern))
+       ~max_steps:3000 ~boost:(Netmem.round_policy nm) ~substrate:(Net.substrate net)
+       ~on_step
+       (fun p () ->
+         if p < n then Kanti_omega.forever procs.(p)
+         else
+           while true do
+             Net.step_serve net ~handle
+           done));
+  (* shm replay on the served order *)
+  let shared2 = Kanti_omega.create_shared (Store.create ()) params in
+  let procs2 = Array.init n (fun p -> Kanti_omega.make_process shared2 params ~proc:p) in
+  let shm_h, on_step = timeline procs2 in
+  ignore
+    (Executor.replay ~n ~schedule:(Schedule.of_list ~n (List.rev !served)) ~on_step
+       (fun p () -> Kanti_omega.forever procs2.(p)));
+  (* the owner applied exactly the served accesses, the replay the
+     same ones: the authoritative cells must agree *)
+  for q = 0 to n - 1 do
+    Alcotest.(check int) (Printf.sprintf "Heartbeat[%d] equal" q)
+      (Kanti_omega.peek_heartbeat shared2 ~proc:q)
+      (Kanti_omega.peek_heartbeat shared ~proc:q);
+    Array.iteri
+      (fun a _ ->
+        Alcotest.(check int) (Printf.sprintf "counter[%d][%d] equal" a q)
+          (Kanti_omega.peek_counter shared2 ~set_index:a ~proc:q)
+          (Kanti_omega.peek_counter shared ~set_index:a ~proc:q))
+      (Kanti_omega.sets shared)
+  done;
+  Alcotest.check
+    (Alcotest.testable Procset.pp Procset.equal)
+    "the winnerset moved off the starved p0" (Procset.singleton 1)
+    (Kanti_omega.winnerset procs2.(1));
+  for p = 0 to n - 1 do
+    let a = List.rev net_h.(p) and b = List.rev shm_h.(p) in
+    let m = min (List.length a) (List.length b) in
+    Alcotest.(check bool) (Printf.sprintf "p%d: common prefix spans >= 10 changes" p) true
+      (m >= 10);
+    let take l = List.filteri (fun i _ -> i < m) l in
+    Alcotest.(check (list string)) (Printf.sprintf "p%d timeline" p) (take b) (take a)
+  done
 
 (* --------------------------------------------- CT timeout detector *)
 
@@ -483,21 +485,25 @@ let test_fuzzer_finds_brs_violation () =
 (* --------------------------------------- batched routing and rounds *)
 
 (* Regression for the wait-loop discard bug: a heartbeat sitting in the
-   client's inbox next to a routed reply must survive the reply wait
-   and still be returned by a later [Net.recv]. The old loop drained
-   the inbox and kept only the awaited reply, silently eating
-   everything else. p1 sends the heartbeat at step 0 so it is in p0's
-   inbox before the write's ack arrives. *)
-let test_per_op_pushback () =
+   client's inbox next to routed replies must survive the pump and
+   still be returned by a later [Net.recv]. The pump drains the inbox
+   on every client step (pre-step hook and read-wait atomics alike)
+   and must write back everything that is not a reply; a drain that
+   kept only replies silently ate the heartbeat. p1 sends it at step 0,
+   so p0's pump drains it alone at step 1 and again together with the
+   write ack and read reply after the owner's serve at step 2. *)
+let test_pump_pushback () =
   let store = Store.create () in
   let net = Net.create ~store ~n:3 ~adversary:(Adversary.synchronous ~delta:1) () in
   let nm = Netmem.install ~net ~store ~clients:2 ~owners:1 () in
   let reg = Store.register store ~pp:Fmt.int ~name:"X" 0 in
+  let read = ref None in
   let got_hb = ref None in
   let body p () =
     match p with
     | 0 ->
         Shm.write reg 42;
+        read := Some (Shm.read reg);
         let rec recv_one () =
           match Net.recv net with [] -> recv_one () | m :: _ -> m
         in
@@ -517,19 +523,20 @@ let test_per_op_pushback () =
        ~schedule:(Schedule.of_list ~n:3 [ 1; 0; 2; 0; 0; 0; 0 ])
        ~substrate:(Net.substrate net) body);
   Alcotest.(check int) "routed write applied" 42 (Register.peek reg);
+  Alcotest.(check (option int)) "read returned the write" (Some 42) !read;
   (match !got_hb with
   | Some Msg.Hb -> ()
   | Some _ -> Alcotest.fail "recv returned something other than the heartbeat"
-  | None -> Alcotest.fail "heartbeat was eaten by the reply wait loop")
+  | None -> Alcotest.fail "heartbeat was eaten by the pump")
 
-(* Batched mode: several routed ops in flight on one client — two
+(* Several routed ops in flight on one client — two
    writes and two reads against distinct registers behind one owner —
    must all complete, in program order, under the clients-only source
    with the round policy supplying every owner turn. *)
 let test_batched_interleaved () =
   let store = Store.create () in
   let net = Net.create ~store ~n:2 ~adversary:(Adversary.synchronous ~delta:1) () in
-  let nm = Netmem.install ~mode:Netmem.Batched ~net ~store ~clients:1 ~owners:1 () in
+  let nm = Netmem.install ~net ~store ~clients:1 ~owners:1 () in
   let x = Store.register store ~pp:Fmt.int ~name:"X" 0 in
   let y = Store.register store ~pp:Fmt.int ~name:"Y" 0 in
   let seen = ref None in
@@ -561,11 +568,11 @@ let test_batched_interleaved () =
 (* The round-batching acceptance bound, in miniature: 50 write+read
    iterations against one owner must amortize to <= 1.5 executed steps
    per routed op, boosted owner serves included (the bench's C=1 row
-   measures ~1.0; per-op mode costs 3 by construction). *)
+   measures ~1.0). *)
 let test_batched_step_cost () =
   let store = Store.create () in
   let net = Net.create ~store ~n:2 ~adversary:(Adversary.synchronous ~delta:1) () in
-  let nm = Netmem.install ~mode:Netmem.Batched ~net ~store ~clients:1 ~owners:1 () in
+  let nm = Netmem.install ~net ~store ~clients:1 ~owners:1 () in
   let x = Store.register store ~pp:Fmt.int ~name:"X" 0 in
   let finished = ref false in
   let body p () =
@@ -602,7 +609,7 @@ let test_batched_owner_crash () =
   let store = Store.create () in
   let net = Net.create ~store ~n:2 ~adversary:(Adversary.synchronous ~delta:1) () in
   let nm =
-    Netmem.install ~mode:Netmem.Batched ~max_wait:8 ~net ~store ~clients:1 ~owners:1 ()
+    Netmem.install ~max_wait:8 ~net ~store ~clients:1 ~owners:1 ()
   in
   let x = Store.register store ~pp:Fmt.int ~name:"X" 5 in
   let first = ref None in
@@ -647,7 +654,7 @@ let test_resend_does_not_regress () =
   in
   let net = Net.create ~store ~n:2 ~adversary () in
   let nm =
-    Netmem.install ~mode:Netmem.Batched ~resend_after:3 ~net ~store ~clients:1 ~owners:1 ()
+    Netmem.install ~resend_after:3 ~net ~store ~clients:1 ~owners:1 ()
   in
   let x = Store.register store ~pp:Fmt.int ~name:"X" 0 in
   let seen = ref None in
@@ -865,11 +872,9 @@ let () =
         ] );
       ( "netmem",
         [
-          Alcotest.test_case "write/read over messages, 3 steps per op" `Quick
-            test_netmem_write_read;
           Alcotest.test_case "owner sharding" `Quick test_netmem_owner_mapping;
-          Alcotest.test_case "per-op wait pushes back unrelated messages" `Quick
-            test_per_op_pushback;
+          Alcotest.test_case "pump pushes back unrelated messages" `Quick
+            test_pump_pushback;
         ] );
       ( "batched",
         [

@@ -103,7 +103,7 @@ let test_detector_boundary_sweep () =
 
 (* the separation triple, executed: S^k_{t+1,n} solves (t,k,n) but the
    adaptive adversary defeats both strengthened problems in it *)
-let test_separation_executed () =
+let test_executed_separation () =
   let t = 2 and k = 2 and n = 5 in
   let i = k and j = t + 1 in
   let base =
@@ -143,6 +143,6 @@ let () =
           Alcotest.test_case "fair solvable cells" `Slow test_fair_solvable_cells;
           Alcotest.test_case "adaptive full boundary" `Slow test_adaptive_full_boundary;
           Alcotest.test_case "detector sweep" `Slow test_detector_boundary_sweep;
-          Alcotest.test_case "separation executed" `Slow test_separation_executed;
+          Alcotest.test_case "separation executed" `Slow test_executed_separation;
         ] );
     ]
