@@ -90,7 +90,7 @@ trace-smoke: ## causal-tracing gate: traced net CT run -> trace-report finds a c
 	dune exec bin/setsync_cli.exe -- trace-report /tmp/setsync_ci_tracereport.jsonl \
 	  --require-stabilized --json /tmp/setsync_ci_tracereport.json
 
-cli-smoke: ## explore flag-compatibility gate: impossible combinations fail loudly (exit 1 + stderr), honored approximations warn
+cli-smoke: ## CLI input gate: impossible explore flag combinations and bad parameters fail with a diagnostic (exit 1 + stderr), honored approximations warn
 	@set -e; \
 	run() { dune exec bin/setsync_cli.exe -- "$$@" >/dev/null 2>/tmp/setsync_ci_cli.err; }; \
 	expect() { want=$$1; shift; \
@@ -114,6 +114,12 @@ cli-smoke: ## explore flag-compatibility gate: impossible combinations fail loud
 	expect 1 explore --check timeliness -n 2 --depth 2 --engine snapshot; \
 	stderr_has "breadth-first"; \
 	expect 0 explore --check kset -n 2 -t 1 -k 1 --depth 6 --engine snapshot --symmetry --fingerprints; \
+	expect 1 solve -n 0; \
+	stderr_has "setsync: Proc.check_n"; \
+	expect 1 fd -n 1; \
+	stderr_has "setsync: Problem.make"; \
+	expect 1 explore --check kset --depth 2 --domains 0; \
+	stderr_has "domains must be >= 1"; \
 	echo "cli-smoke: ok"
 
 ci: ## the full gate: format check, build, tests, E11 smoke + guard, traced-run check, fuzz + net + trace + cli smokes

@@ -34,11 +34,15 @@
 
    The same row carries the export-and-reload tier: one fixed traced
    CT job (n=4, 800 steps, ~3.2k events) written to JSONL and loaded
-   back. Its minor words per event are deterministic, so they are
-   pinned at the measured values plus 25% (export 65.6 -> ceiling 82,
-   reload 135.9 -> ceiling 170): a per-event Json tree copy, a
-   per-byte allocation in the parser or a string copy per field in
-   the writer trips it.
+   back. Its minor words per event are pinned at the measured values
+   plus 25% (export 65.6 -> ceiling 82, reload 135.9 -> ceiling 170):
+   a per-event Json tree copy, a per-byte allocation in the parser or
+   a string copy per field in the writer trips it. They are nearly,
+   not exactly, deterministic: each event's wall-clock [ts] is printed
+   with "%.12g", whose string length (hence its words) varies with the
+   clock reading. On identical builds the export reads 61.6 words/event
+   for everything else plus 3.9-4.0 for the [ts] strings, so it prints
+   65.5 or 65.6; the reload moves by a few hundredths.
 
    Usage: bench_guard BENCH_quick.json *)
 

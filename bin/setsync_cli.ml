@@ -47,6 +47,16 @@ let make_spec t k n i j bound seed crashes adversary max_steps =
   let j = Option.value j ~default:(min (t + 1) n) in
   { Scenario.t; k; n; i; j; bound; seed; crashes; adversary; max_steps }
 
+(* The library rejects bad parameters with [Invalid_argument]. [checked]
+   runs one such check and reports its message as a diagnostic (exit 1).
+   It wraps parameter checks only, never a run, so an [Invalid_argument]
+   raised by a bug still surfaces as an internal error. *)
+let checked f =
+  try f ()
+  with Invalid_argument msg ->
+    Fmt.epr "setsync: %s@." msg;
+    exit 1
+
 (* ---------------------------------------------------------- backend *)
 
 type backend = Backend_shm | Backend_net
@@ -200,7 +210,7 @@ let fd_cmd =
     match backend with
     | Backend_shm ->
         let spec = make_spec t k n None None bound seed crashes adversary max_steps in
-        Scenario.validate spec;
+        checked (fun () -> Scenario.validate spec);
         let obs = make_obs ~trace_out ~metrics_out () in
         let result, predicted = Scenario.run_detector ?obs spec in
         Fmt.pr "system: S^%d_{%d,%d}  predicted solvable for (%d,%d,%d): %b@."
@@ -215,7 +225,8 @@ let fd_cmd =
            round-robin run, leader timeline summarized as the step the
            last wrong leader disappeared *)
         let gst = Option.value gst ~default:4 in
-        let adversary = Adversary.gst_drop ~delta ~gst in
+        let adversary = checked (fun () -> Adversary.gst_drop ~delta ~gst) in
+        checked (fun () -> Proc.check_n n);
         let obs = make_obs ~trace_out ~metrics_out () in
         let r =
           Net_systems.run_ct ?obs ~initial_timeout:2 ~clients:n ~adversary ~max_steps ()
@@ -250,7 +261,7 @@ let solve_cmd =
     match backend with
     | Backend_shm ->
         let spec = make_spec t k n i j bound seed crashes adversary max_steps in
-        Scenario.validate spec;
+        checked (fun () -> Scenario.validate spec);
         let obs = make_obs ~trace_out ~metrics_out () in
         let r = Scenario.run_agreement ?obs spec in
         Fmt.pr "%a@." Scenario.pp_report r;
@@ -278,7 +289,8 @@ let solve_cmd =
         end;
         let crash_plan = List.init crashes (fun i -> (n - 1 - i, 5 * (i + 1))) in
         let combined =
-          Adversary.crash_brs ~delta ~gst ~total ~k:(max 1 k) ~crashes:crash_plan
+          checked (fun () ->
+              Adversary.crash_brs ~delta ~gst ~total ~k:(max 1 k) ~crashes:crash_plan)
         in
         let resend_after =
           (* default matches the flag's doc: retransmission is the
@@ -290,8 +302,8 @@ let solve_cmd =
         in
         let solver, problem, values =
           match solver with
-          | `Paxos -> (`Paxos, Problem.consensus ~t ~n, true)
-          | _ -> (`Auto, Problem.make ~t ~k ~n, false)
+          | `Paxos -> (`Paxos, checked (fun () -> Problem.consensus ~t ~n), true)
+          | _ -> (`Auto, checked (fun () -> Problem.make ~t ~k ~n), false)
         in
         let inputs = Problem.distinct_inputs problem in
         let obs = make_obs ~trace_out ~metrics_out () in
@@ -322,7 +334,7 @@ let solve_cmd =
            round-robin run decides within k exactly when GST lands
            before the decision point *)
         let gst = Option.value gst ~default:4 in
-        let adversary = Adversary.brs_kset ~delta ~gst ~n ~k in
+        let adversary = checked (fun () -> Adversary.brs_kset ~delta ~gst ~n ~k) in
         let inputs = net_inputs n in
         let obs = make_obs ~trace_out ~metrics_out () in
         let sut = Net_systems.kset_blind ?obs ~inputs ~adversary () in
@@ -362,6 +374,7 @@ let solve_cmd =
 
 let sweep_cmd =
   let run t k n =
+    checked (fun () -> Proc.check_n n);
     Fmt.pr "Theorem 27 for (t=%d, k=%d, n=%d): solvable iff i <= k and j - i >= t+1-k@.@." t k n;
     Fmt.pr "%a@." Setsync.Characterization.pp_grid (Setsync.Characterization.grid ~t ~k ~n);
     let s = Setsync.Characterization.separation ~t ~k ~n in
@@ -377,6 +390,7 @@ let sweep_cmd =
 
 let analyze_cmd =
   let run n seed length bound =
+    checked (fun () -> Proc.check_n n);
     let rng = Rng.create ~seed in
     let src = Generators.random_fair ~n ~rng () in
     let s = Source.take src length in
@@ -613,6 +627,10 @@ let explore_cmd =
                without it; add --fingerprints@.";
       exit 1
     end;
+    if domains < 1 then begin
+      Fmt.epr "setsync: --domains must be >= 1 (got %d)@." domains;
+      exit 1
+    end;
     if engine = Explorer.Snapshot && bfs then begin
       Fmt.epr "setsync: --engine snapshot is depth-first only (its savepoint stack is \
                the DFS spine); drop --bfs@.";
@@ -684,7 +702,7 @@ let explore_cmd =
     in
     match (check, backend) with
     | Check_kset, Backend_shm ->
-        let problem = Problem.make ~t ~k ~n in
+        let problem = checked (fun () -> Problem.make ~t ~k ~n) in
         let inputs =
           if seed = 1 then Problem.distinct_inputs problem
           else Problem.random_inputs problem ~rng:(Rng.create ~seed) ~spread:(2 * n)
@@ -712,7 +730,7 @@ let explore_cmd =
         (* net replay footprints under-approximate clock reads, so sleep
            sets stay forced off (see Net's exploration caveat);
            fingerprints are opt-in and warned about above *)
-        let adversary = Adversary.brs_kset ~delta ~gst ~n ~k in
+        let adversary = checked (fun () -> Adversary.brs_kset ~delta ~gst ~n ~k) in
         let inputs = net_inputs n in
         let sut = Net_systems.kset_blind ~inputs ~adversary () in
         let properties =
@@ -735,6 +753,7 @@ let explore_cmd =
             List.for_all (fun (_, v) -> v = Explorer.Ok_bounded) r.Explorer.verdicts)
     | Check_detector, Backend_shm ->
         let params = { Kanti_omega.n; t; k } in
+        checked (fun () -> Kanti_omega.check_params params);
         let sut = Explore_systems.kanti_detector ~params () in
         let properties =
           [
@@ -755,7 +774,7 @@ let explore_cmd =
         (* CT timeout detector stabilization after GST; sleep sets off,
            as for net kset. Readiness needs depth >= about 7n after GST
            on round-robin paths — depth 14 covers (n=2, gst=4, delta=1). *)
-        let adversary = Adversary.gst_drop ~delta ~gst in
+        let adversary = checked (fun () -> Adversary.gst_drop ~delta ~gst) in
         let sut = Net_systems.ct_leader ~clients:n ~adversary () in
         let properties = [ Net_systems.ct_stabilized ~delta ] in
         let config =
@@ -970,18 +989,20 @@ let fuzz_cmd =
         Fmt.pr "fuzzing the seeded-bug counter core (n=%d, t=%d, k=%d), seed %d, len %d@."
           n t k seed len;
         go
-          ~sut:(Fuzz_systems.counter_core ~params:{ Kanti_omega.n; t; k } ())
+          ~sut:(checked (fun () -> Fuzz_systems.counter_core ~params:{ Kanti_omega.n; t; k } ()))
           ~properties:[ Fuzz_systems.winner_argmin () ]
           ()
     | Fuzz_fixed, Backend_shm ->
         Fmt.pr "fuzzing the faithful counter core (n=%d, t=%d, k=%d), seed %d, len %d@."
           n t k seed len;
         go
-          ~sut:(Fuzz_systems.counter_core ~bug:false ~params:{ Kanti_omega.n; t; k } ())
+          ~sut:
+            (checked (fun () ->
+                 Fuzz_systems.counter_core ~bug:false ~params:{ Kanti_omega.n; t; k } ()))
           ~properties:[ Fuzz_systems.winner_argmin () ]
           ()
     | Fuzz_kset, Backend_shm ->
-        let problem = Problem.make ~t ~k ~n in
+        let problem = checked (fun () -> Problem.make ~t ~k ~n) in
         let inputs = Problem.distinct_inputs problem in
         Fmt.pr "fuzzing %a, inputs %a, seed %d, len %d@." Problem.pp problem
           Fmt.(array ~sep:sp int)
@@ -1001,7 +1022,7 @@ let fuzz_cmd =
            heals: the net_adversary burst schedule is seeded into the
            corpus, so the k-set violation is found and ddmin-shrunk *)
         let gst = Option.value gst ~default:1_000_000 in
-        let adversary = Adversary.brs_kset ~delta ~gst ~n ~k in
+        let adversary = checked (fun () -> Adversary.brs_kset ~delta ~gst ~n ~k) in
         let inputs = net_inputs n in
         let sut = Net_systems.kset_blind ~inputs ~adversary () in
         let burst = (2 * n) + 1 in

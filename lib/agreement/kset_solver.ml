@@ -4,18 +4,39 @@ module Store = Setsync_memory.Store
 module Shm = Setsync_runtime.Shm
 module Kanti_omega = Setsync_detector.Kanti_omega
 
+(* {2 Machine form}
+
+   The solver loop with an explicit per-process program counter: the
+   only implementation of Theorem 24's composition. Each step runs the
+   local code since the process's previous shared atomic and performs
+   the next one through [Shm], so [body] (a fiber looping [advance])
+   and the snapshot engine ([machine_step] under [Fiber.inline])
+   execute the same code per step. One loop round: a
+   full detector iteration, a scan of the decision registers, then a
+   Paxos attempt for every rank this process holds in its winnerset. *)
+
+type spc =
+  | S_start  (** not yet stepped *)
+  | S_fd of Kanti_omega.mpc  (** inside a detector iteration *)
+  | S_dec of int * int option  (** read [Dec[q]]; adoption pending *)
+  | S_paxos of int * Procset.t * Paxos.mpc
+      (** attempting instance [r] with the winnerset the rank came from *)
+  | S_dec_written  (** published own decision *)
+  | S_paused  (** idling decided process *)
+
 type t = {
   problem : Problem.t;
   inputs : int array;
   fd_shared : Kanti_omega.shared;
   fd_params : Kanti_omega.params;
-  initial_timeout : int option;
   instances : Paxos.shared array;  (** one per winnerset rank *)
   dec : int option Setsync_memory.Register.t array;  (** decision gossip *)
   decisions : int option array;  (** local records, index = process *)
-  fd_processes : Kanti_omega.process option array;
+  fds : Kanti_omega.process array;
+  props : Paxos.proposer array array;  (** [proc].(rank) *)
+  pcs : spc array;
   engagement : (int * int) option array;
-      (** per process: (instance, ballot) while inside Paxos.attempt *)
+      (** per process: (instance, ballot) while inside a Paxos attempt *)
 }
 
 let create store ~problem ~inputs ?initial_timeout () =
@@ -25,172 +46,98 @@ let create store ~problem ~inputs ?initial_timeout () =
     invalid_arg "Kset_solver.create: requires k <= t (use Trivial when t < k)";
   let fd_params = { Kanti_omega.n; t = resilience; k } in
   Kanti_omega.check_params fd_params;
+  let fd_shared = Kanti_omega.create_shared store fd_params in
+  let instances =
+    Array.init k (fun r -> Paxos.create_shared store ~n ~name:(Printf.sprintf "Paxos%d" r))
+  in
   {
     problem;
     inputs;
-    fd_shared = Kanti_omega.create_shared store fd_params;
+    fd_shared;
     fd_params;
-    initial_timeout;
-    instances =
-      Array.init k (fun r -> Paxos.create_shared store ~n ~name:(Printf.sprintf "Paxos%d" r));
+    instances;
     dec =
       Store.array store
         ~pp:(Fmt.option ~none:(Fmt.any "⊥") Fmt.int)
         ~name:"Dec" n
         (fun _ -> None);
     decisions = Array.make n None;
-    fd_processes = Array.make n None;
+    fds =
+      Array.init n (fun proc ->
+          Kanti_omega.make_process ?initial_timeout fd_shared fd_params ~proc);
+    props =
+      Array.init n (fun proc ->
+          Array.init k (fun r -> Paxos.make_proposer instances.(r) ~proc ~input:inputs.(proc)));
+    pcs = Array.make n S_start;
     engagement = Array.make n None;
   }
 
-let body t proc () =
-  let { Problem.k; n; _ } = t.problem in
-  let fd =
-    Kanti_omega.make_process ?initial_timeout:t.initial_timeout t.fd_shared t.fd_params ~proc
-  in
-  t.fd_processes.(proc) <- Some fd;
-  let proposers =
-    Array.init k (fun r -> Paxos.make_proposer t.instances.(r) ~proc ~input:t.inputs.(proc))
-  in
-  let exception Decided of int in
-  let decide v = raise (Decided v) in
-  try
-    while true do
-      (* keep the failure detector running: one full Figure 2 iteration *)
-      Kanti_omega.iterate fd;
-      (* adopt any published decision *)
-      for q = 0 to n - 1 do
-        match Shm.read t.dec.(q) with Some v -> decide v | None -> ()
-      done;
-      (* act as proposer for every rank this process currently holds *)
-      let w = Kanti_omega.winnerset fd in
-      for r = 0 to k - 1 do
-        if (not (Procset.is_empty w)) && Proc.equal (Procset.nth w r) proc then begin
-          t.engagement.(proc) <- Some (r, Paxos.current_ballot proposers.(r));
-          let outcome = Paxos.attempt proposers.(r) in
-          t.engagement.(proc) <- None;
-          match outcome with
-          | Paxos.Decided v -> decide v
-          | Paxos.Interfered -> ()
-        end
-      done
-    done
-  with Decided v ->
-    t.engagement.(proc) <- None;
-    t.decisions.(proc) <- Some v;
-    Shm.write t.dec.(proc) (Some v);
-    (* Stay correct: keep taking (idle) steps so schedule contracts
-       involving this process keep holding; the harness stops the run
-       once every live process has decided. *)
-    while true do
-      Shm.pause ()
-    done
-
-(* {2 Machine form}
-
-   Explicit-PC composition of the solver loop for the snapshot
-   exploration engine: the same interleaving of detector iterations,
-   decision-gossip scans and Paxos attempts as [body], with the fiber
-   replaced by a per-process PC. Step boundaries mirror the fiber
-   form's exactly — each step runs the local code since the previous
-   shared-memory atomic and performs the next one — so footprints and
-   snapshots coincide. *)
-
-type spc =
-  | S_fd of Kanti_omega.mpc  (** inside a detector iteration *)
-  | S_dec of int * int option  (** read [Dec[q]]; adoption pending *)
-  | S_paxos of int * Procset.t * Paxos.mpc
-      (** attempting instance [r] with the winnerset the rank came from *)
-  | S_dec_written  (** published own decision *)
-  | S_paused  (** idling decided process *)
-
-type machine = {
-  solver : t;
-  fds : Kanti_omega.process array;
-  props : Paxos.proposer array array;  (** [proc].(rank) *)
-  pcs : spc option array;
-}
-
-let machine t =
-  let { Problem.k; n; _ } = t.problem in
-  let fds =
-    Array.init n (fun proc ->
-        let fd =
-          Kanti_omega.make_process ?initial_timeout:t.initial_timeout t.fd_shared t.fd_params
-            ~proc
-        in
-        t.fd_processes.(proc) <- Some fd;
-        fd)
-  in
-  let props =
-    Array.init n (fun proc ->
-        Array.init k (fun r -> Paxos.make_proposer t.instances.(r) ~proc ~input:t.inputs.(proc)))
-  in
-  { solver = t; fds; props; pcs = Array.make n None }
-
-(* the [Decided] handler of [body]: runs in the step that performs the
-   decision-register write *)
-let machine_decide m proc v =
-  let t = m.solver in
+(* adopt or reach a decision: record it and publish it in [Dec[proc]] *)
+let decide t proc v =
   t.engagement.(proc) <- None;
   t.decisions.(proc) <- Some v;
-  Setsync_runtime.Machine.write t.dec.(proc) (Some v);
+  Shm.write t.dec.(proc) (Some v);
   S_dec_written
 
-(* the rank loop of [body] from rank [r]: engage the first rank this
-   process holds in [w]; falling off the end starts the next detector
+(* the rank loop from rank [r]: engage the first rank this process
+   holds in [w]; falling off the end starts the next detector
    iteration. Always performs this step's atomic. *)
-let rec machine_ranks m proc w r =
-  let t = m.solver in
-  let { Problem.k; _ } = t.problem in
-  if r >= k then S_fd (Kanti_omega.iterate_start m.fds.(proc))
+let rec ranks t proc w r =
+  if r >= t.problem.Problem.k then S_fd (Kanti_omega.iterate_start t.fds.(proc))
   else if (not (Procset.is_empty w)) && Proc.equal (Procset.nth w r) proc then begin
-    t.engagement.(proc) <- Some (r, Paxos.current_ballot m.props.(proc).(r));
-    match Paxos.attempt_start m.props.(proc).(r) with
-    | Paxos.M_more pc -> S_paxos (r, w, pc)
-    | Paxos.M_decided v -> machine_decide m proc v
-    | Paxos.M_interfered -> assert false
+    let prop = t.props.(proc).(r) in
+    t.engagement.(proc) <- Some (r, Paxos.current_ballot prop);
+    let pc = Paxos.attempt_start prop in
+    match Paxos.outcome pc with
+    | None -> S_paxos (r, w, pc)
+    | Some (Paxos.Decided v) -> decide t proc v
+    | Some Paxos.Interfered -> assert false
   end
-  else machine_ranks m proc w (r + 1)
+  else ranks t proc w (r + 1)
 
-let machine_step m proc =
-  let t = m.solver in
-  let { Problem.n; _ } = t.problem in
-  let pc' =
-    match m.pcs.(proc) with
-    | None -> S_fd (Kanti_omega.iterate_start m.fds.(proc))
-    | Some (S_fd pc) -> (
-        match Kanti_omega.iterate_resume m.fds.(proc) pc with
-        | Some pc' -> S_fd pc'
-        | None -> S_dec (0, Setsync_runtime.Machine.read t.dec.(0)))
-    | Some (S_dec (_, Some v)) -> machine_decide m proc v
-    | Some (S_dec (q, None)) ->
-        if q < n - 1 then S_dec (q + 1, Setsync_runtime.Machine.read t.dec.(q + 1))
-        else machine_ranks m proc (Kanti_omega.winnerset m.fds.(proc)) 0
-    | Some (S_paxos (r, w, pc)) -> (
-        match Paxos.attempt_resume m.props.(proc).(r) pc with
-        | Paxos.M_more pc' -> S_paxos (r, w, pc')
-        | Paxos.M_interfered ->
-            t.engagement.(proc) <- None;
-            machine_ranks m proc w (r + 1)
-        | Paxos.M_decided v -> machine_decide m proc v)
-    | Some S_dec_written -> S_paused
-    | Some S_paused -> S_paused
-  in
-  m.pcs.(proc) <- Some pc'
+let advance t proc = function
+  | S_start -> S_fd (Kanti_omega.iterate_start t.fds.(proc))
+  | S_fd pc ->
+      let pc' = Kanti_omega.iterate_resume t.fds.(proc) pc in
+      if Kanti_omega.iteration_ended pc' then S_dec (0, Shm.read t.dec.(0)) else S_fd pc'
+  | S_dec (_, Some v) -> decide t proc v
+  | S_dec (q, None) ->
+      if q < t.problem.Problem.n - 1 then S_dec (q + 1, Shm.read t.dec.(q + 1))
+      else ranks t proc (Kanti_omega.winnerset t.fds.(proc)) 0
+  | S_paxos (r, w, pc) -> (
+      let pc' = Paxos.attempt_resume t.props.(proc).(r) pc in
+      match Paxos.outcome pc' with
+      | None -> S_paxos (r, w, pc')
+      | Some Paxos.Interfered ->
+          t.engagement.(proc) <- None;
+          ranks t proc w (r + 1)
+      | Some (Paxos.Decided v) -> decide t proc v)
+  | S_dec_written | S_paused ->
+      (* stay correct: keep taking (idle) steps so schedule contracts
+         involving this process keep holding *)
+      Shm.pause ();
+      S_paused
 
-let machine_save m =
-  let fd_saves = Array.map Kanti_omega.save_process m.fds in
-  let prop_saves = Array.map (Array.map Paxos.save_proposer) m.props in
-  let pcs = Array.copy m.pcs in
-  let decisions = Array.copy m.solver.decisions in
-  let engagement = Array.copy m.solver.engagement in
+let machine_step t proc = t.pcs.(proc) <- advance t proc t.pcs.(proc)
+
+(* the fiber keeps the PC in its own frame: writing [t.pcs] each step
+   would cost a write barrier the derived loop does not need *)
+let body t proc () =
+  let rec go pc = go (advance t proc pc) in
+  go S_start
+
+let machine_save t =
+  let fd_saves = Array.map Kanti_omega.save_process t.fds in
+  let prop_saves = Array.map (Array.map Paxos.save_proposer) t.props in
+  let pcs = Array.copy t.pcs in
+  let decisions = Array.copy t.decisions in
+  let engagement = Array.copy t.engagement in
   fun () ->
     Array.iter (fun f -> f ()) fd_saves;
     Array.iter (Array.iter (fun f -> f ())) prop_saves;
-    Array.blit pcs 0 m.pcs 0 (Array.length pcs);
-    Array.blit decisions 0 m.solver.decisions 0 (Array.length decisions);
-    Array.blit engagement 0 m.solver.engagement 0 (Array.length engagement)
+    Array.blit pcs 0 t.pcs 0 (Array.length pcs);
+    Array.blit decisions 0 t.decisions 0 (Array.length decisions);
+    Array.blit engagement 0 t.engagement 0 (Array.length engagement)
 
 (* {2 Symmetry} *)
 
@@ -208,7 +155,8 @@ let sym_perms t =
          Array.iteri (fun p q -> if t.inputs.(q) <> t.inputs.(p) then ok := false) perm;
          !ok)
 
-let spc_string m ~perm = function
+let spc_string t ~perm = function
+  | S_start -> "-"
   | S_fd _ -> "F"  (* detail lives in the detector payload *)
   | S_dec (q, v) ->
       Printf.sprintf "D%d=%s" perm.(q)
@@ -216,25 +164,24 @@ let spc_string m ~perm = function
   | S_paxos (r, w, pc) ->
       Printf.sprintf "P%d;%s;%s" r
         (Procset.to_string (rename_set ~perm w))
-        (Paxos.sym_payload_pc ~perm m.solver.instances.(r) pc)
+        (Paxos.sym_payload_pc ~perm t.instances.(r) pc)
   | S_dec_written -> "W"
   | S_paused -> "Z"
 
-let sym_payload m ~perm =
-  let t = m.solver in
+let sym_payload t ~perm =
   let { Problem.k; n; _ } = t.problem in
   let inv = Array.make n 0 in
   Array.iteri (fun p q -> inv.(q) <- p) perm;
   let kanti_pcs =
-    Array.map (function Some (S_fd pc) -> Some pc | _ -> None) m.pcs
+    Array.map (function S_fd pc -> Some pc | _ -> None) t.pcs
   in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Kanti_omega.sym_payload t.fd_shared t.fd_params m.fds kanti_pcs ~perm);
+  Buffer.add_string buf (Kanti_omega.sym_payload t.fd_shared t.fd_params t.fds kanti_pcs ~perm);
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   for r = 0 to k - 1 do
     add "!I%d:%s" r (Paxos.sym_payload_blocks ~perm t.instances.(r));
     for p' = 0 to n - 1 do
-      add "~%s" (Paxos.sym_payload_proposer ~perm m.props.(inv.(p')).(r))
+      add "~%s" (Paxos.sym_payload_proposer ~perm t.props.(inv.(p')).(r))
     done
   done;
   (* Dec registers, local decisions, engagement, solver PCs — renamed
@@ -250,21 +197,15 @@ let sym_payload m ~perm =
       | None -> "-"
       | Some (r, b) ->
           Printf.sprintf "(%d,%d)" r (Paxos.rename_ballot ~n ~perm b))
-      (match m.pcs.(p) with None -> "-" | Some pc -> spc_string m ~perm pc)
+      (spc_string t ~perm t.pcs.(p))
   done;
   Buffer.contents buf
 
 let decisions t = Array.copy t.decisions
 
-let fd_iterations t =
-  Array.map
-    (function Some fd -> Kanti_omega.iterations fd | None -> 0)
-    t.fd_processes
+let fd_iterations t = Array.map Kanti_omega.iterations t.fds
 
-let fd_winnerset t proc =
-  match t.fd_processes.(proc) with
-  | Some fd -> Kanti_omega.winnerset fd
-  | None -> Procset.empty
+let fd_winnerset t proc = Kanti_omega.winnerset t.fds.(proc)
 
 type adversary_view = {
   winnersets : unit -> Procset.t array;

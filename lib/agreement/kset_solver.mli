@@ -30,33 +30,30 @@ val create :
     [t < k]) and [inputs] of length [n]. *)
 
 val body : t -> Setsync_schedule.Proc.t -> unit -> unit
-(** Process code for the executor. Returns (halts) once the process
-    has decided. *)
+(** Process code for the executor: the step of {!machine_step} looped
+    inside the process's fiber, which keeps the PC itself. Never returns; a decided process keeps taking idle
+    steps so it stays correct (the harness stops the run once every
+    live process has decided). *)
 
 val decisions : t -> int option array
 (** Snapshot of per-process decisions (local records, readable at any
     point; index = process). *)
 
-(** {2 Machine form} — explicit-PC composition of the solver loop for
-    the snapshot exploration engine; per-process steps perform exactly
-    the register operations {!body}'s fiber steps perform, in the same
-    order, so footprints and snapshots coincide across both forms. *)
+(** {2 Machine form} — the solver's only implementation: each process
+    has one detector process, [k] proposers and an explicit program
+    counter, all created by {!create}. {!body} runs it inside a fiber;
+    the snapshot exploration engine steps it under
+    {!Setsync_runtime.Fiber.inline}. Drive a given [t] with one or the
+    other, not both. *)
 
-type machine
-
-val machine : t -> machine
-(** Build the machine form over the same solver state: detector
-    processes and proposers are created eagerly (they allocate no
-    registers), PCs start unset. Use either {!body} or the machine to
-    drive a given [t], not both. *)
-
-val machine_step : machine -> Setsync_schedule.Proc.t -> unit
+val machine_step : t -> Setsync_schedule.Proc.t -> unit
 (** One step of the given process: the local code since its previous
-    shared-memory atomic plus the next atomic. Decided processes idle
-    (no register operations), mirroring [body]'s pause loop; no
-    process ever halts. *)
+    shared-memory atomic plus the next atomic, performed through
+    {!Setsync_runtime.Shm}. Decided processes idle with
+    {!Setsync_runtime.Shm.pause} (no register operation); no process
+    ever halts. *)
 
-val machine_save : machine -> unit -> unit
+val machine_save : t -> unit -> unit
 (** Capture all per-process local state (detector locals, proposer
     ballots/decisions, PCs, decision records, engagement); the
     returned thunk restores it. Register state is the store's job. *)
@@ -67,7 +64,7 @@ val sym_perms : t -> int array list
     restricted to those fixing the input assignment pointwise
     ([inputs ∘ perm = inputs]). Always contains the identity. *)
 
-val sym_payload : machine -> perm:int array -> string
+val sym_payload : t -> perm:int array -> string
 (** Deterministic rendering of the full machine state under the
     renaming [perm] (detector payload, Paxos blocks/proposers with
     owner-renamed ballots, decision registers, engagement, PCs).

@@ -2,7 +2,6 @@ module Proc = Setsync_schedule.Proc
 module Register = Setsync_memory.Register
 module Store = Setsync_memory.Store
 module Shm = Setsync_runtime.Shm
-module Machine = Setsync_runtime.Machine
 
 (* One block per process: mbal = highest ballot this process has
    started, bal/inp = its highest accepted ballot and the value
@@ -38,68 +37,21 @@ let next_ballot ~n ~proc ~floor =
   let rec bump b = if b > floor then b else bump (b + n) in
   bump (proc + 1)
 
-let attempt p =
-  match p.decided with
-  | Some v -> Decided v
-  | None ->
-      let { n; blocks } = p.shared in
-      let b = p.ballot in
-      let interference = ref 0 in
-      let note_interference other =
-        if other.mbal > b then interference := max !interference other.mbal;
-        if other.bal > b then interference := max !interference other.bal
-      in
-      (* phase 1: announce the ballot, then collect *)
-      let own = Shm.read blocks.(p.proc) in
-      Shm.write blocks.(p.proc) { own with mbal = b };
-      let best_bal = ref own.bal in
-      let best_inp = ref own.inp in
-      for q = 0 to n - 1 do
-        if q <> p.proc then begin
-          let blk = Shm.read blocks.(q) in
-          note_interference blk;
-          if blk.bal > !best_bal then begin
-            best_bal := blk.bal;
-            best_inp := blk.inp
-          end
-        end
-      done;
-      if !interference > 0 then begin
-        p.ballot <- next_ballot ~n ~proc:p.proc ~floor:!interference;
-        Interfered
-      end
-      else begin
-        let value = if !best_bal > 0 then !best_inp else p.input in
-        (* phase 2: accept, then confirm no higher ballot interfered *)
-        Shm.write blocks.(p.proc) { mbal = b; bal = b; inp = value };
-        for q = 0 to n - 1 do
-          if q <> p.proc then note_interference (Shm.read blocks.(q))
-        done;
-        if !interference > 0 then begin
-          p.ballot <- next_ballot ~n ~proc:p.proc ~floor:!interference;
-          Interfered
-        end
-        else begin
-          p.decided <- Some value;
-          Decided value
-        end
-      end
-
 let decided p = p.decided
 
 let current_ballot p = p.ballot
 
 (* {2 Machine form}
 
-   Explicit-PC version of [attempt], one register atomic per step, for
-   the snapshot exploration engine. PC values name the atomic just
-   performed, carrying its pending result and the attempt's
-   accumulated locals; the resume function mirrors [attempt]'s code
-   between two consecutive atomics exactly (same read order, same
-   interference accounting), so footprints coincide with the fiber
-   form. [p.ballot] is only read at attempt start and only written at
-   resolution, so carrying [p.ballot] implicitly across a parked
-   attempt is sound. *)
+   One attempt with an explicit program counter: the only
+   implementation of the protocol. PC values name the register atomic
+   just performed, carrying its pending result and the attempt's
+   accumulated locals; [attempt_resume] runs the code up to the next
+   atomic and performs it through [Shm] (a suspension inside a fiber,
+   in place under [Fiber.inline]). The two resolutions perform no
+   atomic: the caller owns that step's atomic. [p.ballot] is only read
+   at attempt start and only written at resolution, so carrying
+   [p.ballot] implicitly across a parked attempt is sound. *)
 
 type mpc =
   | P_own of block  (** read own block; prepare write pending *)
@@ -108,13 +60,19 @@ type mpc =
       (** read [blocks.(q)] = blk during the collect loop *)
   | P_accept_written of int  (** wrote the accept block for this value *)
   | P_phase2 of { q : int; blk : block; intf : int; value : int }
+  | P_decided of int  (** resolved: value decided *)
+  | P_interfered  (** resolved by interference, ballot already raised *)
 
-type mres = M_more of mpc | M_decided of int | M_interfered
-
+(* phase 1 begins: read own block, then announce the ballot *)
 let attempt_start p =
   match p.decided with
-  | Some v -> M_decided v
-  | None -> M_more (P_own (Machine.read p.shared.blocks.(p.proc)))
+  | Some v -> P_decided v
+  | None -> P_own (Shm.read p.shared.blocks.(p.proc))
+
+let outcome = function
+  | P_decided v -> Some (Decided v)
+  | P_interfered -> Some Interfered
+  | P_own _ | P_mbal_written _ | P_phase1 _ | P_accept_written _ | P_phase2 _ -> None
 
 (* first/next other-process index, skipping our own slot *)
 let first_other ~proc = if proc = 0 then 1 else 0
@@ -123,63 +81,68 @@ let next_other ~proc q =
   let q' = q + 1 in
   if q' = proc then q' + 1 else q'
 
+(* the highest ballot above [b] seen so far, folding in [other]'s *)
+let note ~b intf other =
+  let intf = if other.mbal > b then max intf other.mbal else intf in
+  if other.bal > b then max intf other.bal else intf
+
+let interfered p intf =
+  p.ballot <- next_ballot ~n:p.shared.n ~proc:p.proc ~floor:intf;
+  P_interfered
+
+(* phase 2: accept, then confirm no higher ballot interfered *)
+let accept p ~best_bal ~best_inp =
+  let b = p.ballot in
+  let value = if best_bal > 0 then best_inp else p.input in
+  Shm.write p.shared.blocks.(p.proc) { mbal = b; bal = b; inp = value };
+  P_accept_written value
+
+let decide p value =
+  p.decided <- Some value;
+  P_decided value
+
 let attempt_resume p pc =
   let { n; blocks } = p.shared in
   let b = p.ballot in
-  let note intf other =
-    let intf = if other.mbal > b then max intf other.mbal else intf in
-    if other.bal > b then max intf other.bal else intf
-  in
-  let interfered intf =
-    p.ballot <- next_ballot ~n ~proc:p.proc ~floor:intf;
-    M_interfered
-  in
-  let accept ~best_bal ~best_inp =
-    let value = if best_bal > 0 then best_inp else p.input in
-    Machine.write blocks.(p.proc) { mbal = b; bal = b; inp = value };
-    M_more (P_accept_written value)
-  in
-  let decide value =
-    p.decided <- Some value;
-    M_decided value
-  in
   match pc with
   | P_own own ->
-      Machine.write blocks.(p.proc) { own with mbal = b };
-      M_more (P_mbal_written own)
+      Shm.write blocks.(p.proc) { own with mbal = b };
+      P_mbal_written own
   | P_mbal_written own ->
+      (* phase 1 collect *)
       let q = first_other ~proc:p.proc in
-      if q >= n then accept ~best_bal:own.bal ~best_inp:own.inp
+      if q >= n then accept p ~best_bal:own.bal ~best_inp:own.inp
       else
-        M_more
-          (P_phase1
-             {
-               q;
-               blk = Machine.read blocks.(q);
-               intf = 0;
-               best_bal = own.bal;
-               best_inp = own.inp;
-             })
+        P_phase1
+          { q; blk = Shm.read blocks.(q); intf = 0; best_bal = own.bal; best_inp = own.inp }
   | P_phase1 { q; blk; intf; best_bal; best_inp } ->
-      let intf = note intf blk in
+      let intf = note ~b intf blk in
       let best_bal, best_inp =
         if blk.bal > best_bal then (blk.bal, blk.inp) else (best_bal, best_inp)
       in
       let q' = next_other ~proc:p.proc q in
-      if q' < n then
-        M_more (P_phase1 { q = q'; blk = Machine.read blocks.(q'); intf; best_bal; best_inp })
-      else if intf > 0 then interfered intf
-      else accept ~best_bal ~best_inp
+      if q' < n then P_phase1 { q = q'; blk = Shm.read blocks.(q'); intf; best_bal; best_inp }
+      else if intf > 0 then interfered p intf
+      else accept p ~best_bal ~best_inp
   | P_accept_written value ->
       let q = first_other ~proc:p.proc in
-      if q >= n then decide value
-      else M_more (P_phase2 { q; blk = Machine.read blocks.(q); intf = 0; value })
+      if q >= n then decide p value
+      else P_phase2 { q; blk = Shm.read blocks.(q); intf = 0; value }
   | P_phase2 { q; blk; intf; value } ->
-      let intf = note intf blk in
+      let intf = note ~b intf blk in
       let q' = next_other ~proc:p.proc q in
-      if q' < n then M_more (P_phase2 { q = q'; blk = Machine.read blocks.(q'); intf; value })
-      else if intf > 0 then interfered intf
-      else decide value
+      if q' < n then P_phase2 { q = q'; blk = Shm.read blocks.(q'); intf; value }
+      else if intf > 0 then interfered p intf
+      else decide p value
+  | P_decided _ | P_interfered -> invalid_arg "Paxos.attempt_resume: the attempt has resolved"
+
+let attempt p =
+  let rec go = function
+    | P_decided v -> Decided v
+    | P_interfered -> Interfered
+    | pc -> go (attempt_resume p pc)
+  in
+  go (attempt_start p)
 
 let save_proposer p =
   let ballot = p.ballot and decided = p.decided in
@@ -222,6 +185,8 @@ let pc_string ~n ~perm = function
         (Fmt.to_to_string pp_block (rename_block ~n ~perm blk))
         (rename_ballot ~n ~perm intf)
         value
+  | P_decided v -> Printf.sprintf "D%d" v
+  | P_interfered -> "I"
 
 let sym_payload_proposer ~perm p =
   let n = p.shared.n in

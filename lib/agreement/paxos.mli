@@ -35,8 +35,9 @@ type attempt_result =
 
 val attempt : proposer -> attempt_result
 (** Run one full round (prepare, collect, accept, collect) from inside
-    an executor fiber; costs [2·(n+1)] steps when uncontended. Safe to
-    call repeatedly and to abandon between calls. *)
+    an executor fiber: {!attempt_resume} looped from {!attempt_start}
+    until the attempt resolves. Costs [2·(n+1)] steps when uncontended.
+    Safe to call repeatedly and to abandon between calls. *)
 
 val decided : proposer -> int option
 (** Value this proposer knows to be decided (from its own successful
@@ -54,29 +55,32 @@ val peek_decision : shared -> int option
 
 val peek_max_ballot : shared -> int
 
-(** {2 Machine form} — explicit-PC version of {!attempt} for the
-    snapshot exploration engine; steps perform exactly the register
-    operations the fiber form performs, in the same order. *)
+(** {2 Machine form} — the protocol's only implementation: one attempt
+    as an explicit program counter plus a resume function that performs
+    one register atomic per call through {!Setsync_runtime.Shm}.
+    {!attempt} loops it inside a fiber; the snapshot exploration engine
+    steps it under {!Setsync_runtime.Fiber.inline}. Both forms run the
+    same code per step, so footprints coincide by construction. *)
 
 type mpc
-(** An in-flight attempt: the atomic just performed plus the
-    attempt's accumulated locals. *)
+(** An attempt's program counter: the atomic just performed plus the
+    attempt's accumulated locals, or its resolution. *)
 
-type mres =
-  | M_more of mpc  (** an atomic was performed; the attempt continues *)
-  | M_decided of int
-      (** resolved, value decided; {e no} atomic was performed in this
-          resolution — the caller owns the step's atomic *)
-  | M_interfered
-      (** resolved by interference, ballot already raised; no atomic
-          was performed — the caller owns the step's atomic *)
-
-val attempt_start : proposer -> mres
+val attempt_start : proposer -> mpc
 (** Begin an attempt: performs its first atomic (the own-block read),
-    or resolves immediately (already decided) without an atomic.
-    Never returns [M_interfered]. *)
+    or resolves immediately to [Decided] (already decided) without an
+    atomic. *)
 
-val attempt_resume : proposer -> mpc -> mres
+val attempt_resume : proposer -> mpc -> mpc
+(** Run the local code following [pc]'s atomic, then perform the
+    attempt's next atomic — or resolve it. Raises [Invalid_argument]
+    on a resolved PC. *)
+
+val outcome : mpc -> attempt_result option
+(** [None] while the attempt is in flight (the step that produced the
+    PC performed an atomic). [Some r] once it resolved: the resolving
+    step performed {e no} atomic, so the caller owns that step's
+    atomic. *)
 
 val save_proposer : proposer -> unit -> unit
 (** Capture ballot and decision; the returned thunk restores them. *)

@@ -3,7 +3,6 @@ module Procset = Setsync_schedule.Procset
 module Register = Setsync_memory.Register
 module Store = Setsync_memory.Store
 module Shm = Setsync_runtime.Shm
-module Machine = Setsync_runtime.Machine
 
 type params = { n : int; t : int; k : int }
 
@@ -78,55 +77,6 @@ let make_process ?(initial_timeout = 1) shared params ~proc =
     iterations = 0;
   }
 
-let iterate p =
-  let { n; t; _ } = p.params in
-  let num_sets = Array.length p.shared.sets in
-  (* lines 2-3: read all badness counters, compute accusation counters *)
-  for a = 0 to num_sets - 1 do
-    for q = 0 to n - 1 do
-      p.cnt.(a).(q) <- Shm.read p.shared.counter.(a).(q)
-    done;
-    p.accusation.(a) <- Order_stat.kth_smallest p.cnt.(a) (t + 1)
-  done;
-  (* line 4: winnerset <- argmin (accusation[A], A); canonical array
-     order is the total order on Π^k_n, so scanning forward and keeping
-     strict minima breaks ties exactly as the paper does *)
-  let best = ref 0 in
-  for a = 1 to num_sets - 1 do
-    if p.accusation.(a) < p.accusation.(!best) then best := a
-  done;
-  p.winnerset <- p.shared.sets.(!best);
-  (* line 5 *)
-  p.fd_output <- Procset.diff (Procset.full ~n) p.winnerset;
-  (* lines 6-7: bump own heartbeat *)
-  p.my_hb <- p.my_hb + 1;
-  Shm.write p.shared.heartbeat.(p.proc) p.my_hb;
-  (* lines 8-13: refresh timers of sets whose members showed a new heartbeat *)
-  for q = 0 to n - 1 do
-    let hbq = Shm.read p.shared.heartbeat.(q) in
-    if hbq > p.prev_heartbeat.(q) then begin
-      for a = 0 to num_sets - 1 do
-        if Procset.mem q p.shared.sets.(a) then p.timer.(a) <- p.timeout.(a)
-      done;
-      p.prev_heartbeat.(q) <- hbq
-    end
-  done;
-  (* lines 14-19: tick timers; on expiry, back off and accuse *)
-  for a = 0 to num_sets - 1 do
-    p.timer.(a) <- p.timer.(a) - 1;
-    if p.timer.(a) = 0 then begin
-      p.timeout.(a) <- p.timeout.(a) + 1;
-      p.timer.(a) <- p.timeout.(a);
-      Shm.write p.shared.counter.(a).(p.proc) (p.cnt.(a).(p.proc) + 1)
-    end
-  done;
-  p.iterations <- p.iterations + 1
-
-let forever p =
-  while true do
-    iterate p
-  done
-
 let fd_output p = p.fd_output
 
 let winnerset p = p.winnerset
@@ -139,41 +89,47 @@ let local_timeout p ~set_index = p.timeout.(set_index)
 
 (* {2 Machine form}
 
-   Explicit-PC version of [iterate], one shared-memory atomic per
-   step, for the snapshot exploration engine (fibers park one-shot
-   continuations and cannot be copied into savepoints). Each PC value
-   names the atomic just performed, carrying its pending result; the
-   resume function runs the local code that follows it in [iterate]
-   and performs the next atomic — exactly the code layout a fiber step
-   executes, so step footprints and snapshots coincide with the fiber
-   form's. *)
+   Figure 2's loop body with an explicit program counter: the only
+   implementation of the algorithm. Each PC value names the shared
+   atomic just performed, carrying its pending result; [iterate_resume]
+   runs the local code that follows it and performs the next atomic
+   through [Shm]. Inside a fiber that atomic suspends the process, so
+   one resume is one granted step; under [Fiber.inline] (the snapshot
+   engine) it runs in place. Either way a step executes the same code,
+   so footprints and snapshots coincide by construction. *)
 
 type mpc =
   | M_cnt of int * int * int  (** read [Counter[a][q]] = v; assignment pending *)
   | M_hb_written  (** wrote own [Heartbeat] (lines 6-7) *)
   | M_hb of int * int  (** read [Heartbeat[q]] = v; refresh pending *)
   | M_cnt_written of int  (** accused set [a] in the tick loop (line 19) *)
+  | M_end  (** the iteration's trailing local code ran; no atomic pending *)
 
 let num_sets p = Array.length p.shared.sets
 
-let iterate_start p = M_cnt (0, 0, Machine.read p.shared.counter.(0).(0))
+(* lines 2-3 begin: the first badness-counter read *)
+let iterate_start p = M_cnt (0, 0, Shm.read p.shared.counter.(0).(0))
 
-(* lines 14-19 from set index [a0]: tick timers until one expires; the
-   expiry's counter write ends the step. Falling off the end runs the
-   iteration's trailing code (line 20's loop bookkeeping) and returns
-   [None]: the caller owns this step's atomic. *)
+let iteration_ended = function
+  | M_end -> true
+  | M_cnt _ | M_hb_written | M_hb _ | M_cnt_written _ -> false
+
+(* lines 14-19 from set index [a0]: tick timers until one expires and,
+   on expiry, back off and accuse; the counter write ends the step.
+   Falling off the end runs the iteration's trailing bookkeeping and
+   returns [M_end]: the caller owns this step's atomic. *)
 let rec tick_from p a0 =
   if a0 >= num_sets p then begin
     p.iterations <- p.iterations + 1;
-    None
+    M_end
   end
   else begin
     p.timer.(a0) <- p.timer.(a0) - 1;
     if p.timer.(a0) = 0 then begin
       p.timeout.(a0) <- p.timeout.(a0) + 1;
       p.timer.(a0) <- p.timeout.(a0);
-      Machine.write p.shared.counter.(a0).(p.proc) (p.cnt.(a0).(p.proc) + 1);
-      Some (M_cnt_written a0)
+      Shm.write p.shared.counter.(a0).(p.proc) (p.cnt.(a0).(p.proc) + 1);
+      M_cnt_written a0
     end
     else tick_from p (a0 + 1)
   end
@@ -183,33 +139,50 @@ let iterate_resume p pc =
   let ns = num_sets p in
   match pc with
   | M_cnt (a, q, v) ->
+      (* lines 2-3: read all badness counters, compute accusation counters *)
       p.cnt.(a).(q) <- v;
       if q = n - 1 then p.accusation.(a) <- Order_stat.kth_smallest p.cnt.(a) (t + 1);
       let a', q' = if q = n - 1 then (a + 1, 0) else (a, q + 1) in
-      if a' < ns then Some (M_cnt (a', q', Machine.read p.shared.counter.(a').(q')))
+      if a' < ns then M_cnt (a', q', Shm.read p.shared.counter.(a').(q'))
       else begin
-        (* lines 4-7 *)
+        (* line 4: winnerset <- argmin (accusation[A], A); canonical
+           array order is the total order on Π^k_n, so scanning forward
+           and keeping strict minima breaks ties exactly as the paper
+           does *)
         let best = ref 0 in
         for a = 1 to ns - 1 do
           if p.accusation.(a) < p.accusation.(!best) then best := a
         done;
         p.winnerset <- p.shared.sets.(!best);
+        (* line 5 *)
         p.fd_output <- Procset.diff (Procset.full ~n) p.winnerset;
+        (* lines 6-7: bump own heartbeat *)
         p.my_hb <- p.my_hb + 1;
-        Machine.write p.shared.heartbeat.(p.proc) p.my_hb;
-        Some M_hb_written
+        Shm.write p.shared.heartbeat.(p.proc) p.my_hb;
+        M_hb_written
       end
-  | M_hb_written -> Some (M_hb (0, Machine.read p.shared.heartbeat.(0)))
+  | M_hb_written -> M_hb (0, Shm.read p.shared.heartbeat.(0))
   | M_hb (q, hbq) ->
+      (* lines 8-13: refresh timers of sets whose members showed a new
+         heartbeat *)
       if hbq > p.prev_heartbeat.(q) then begin
         for a = 0 to ns - 1 do
           if Procset.mem q p.shared.sets.(a) then p.timer.(a) <- p.timeout.(a)
         done;
         p.prev_heartbeat.(q) <- hbq
       end;
-      if q < n - 1 then Some (M_hb (q + 1, Machine.read p.shared.heartbeat.(q + 1)))
-      else tick_from p 0
+      if q < n - 1 then M_hb (q + 1, Shm.read p.shared.heartbeat.(q + 1)) else tick_from p 0
   | M_cnt_written a -> tick_from p (a + 1)
+  | M_end -> invalid_arg "Kanti_omega.iterate_resume: the iteration has ended"
+
+let iterate p =
+  let rec go = function M_end -> () | pc -> go (iterate_resume p pc) in
+  go (iterate_start p)
+
+let forever p =
+  while true do
+    iterate p
+  done
 
 let save_process p =
   let fd_output = p.fd_output
@@ -271,12 +244,14 @@ let rename_pc ~set_idx ~perm = function
   | M_hb_written -> M_hb_written
   | M_hb (q, v) -> M_hb (perm.(q), v)
   | M_cnt_written a -> M_cnt_written set_idx.(a)
+  | M_end -> M_end
 
 let pc_string = function
   | M_cnt (a, q, v) -> Printf.sprintf "C%d.%d=%d" a q v
   | M_hb_written -> "HW"
   | M_hb (q, v) -> Printf.sprintf "H%d=%d" q v
   | M_cnt_written a -> Printf.sprintf "CW%d" a
+  | M_end -> "E"
 
 let sym_payload shared params procs pcs ~perm =
   let { n; _ } = params in

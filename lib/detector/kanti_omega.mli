@@ -52,9 +52,11 @@ val make_process :
     self-adjusting behaviour). *)
 
 val iterate : process -> unit
-(** One full iteration of the outer loop (lines 2–19). Performs the
+(** One full iteration of the outer loop (lines 2–19): {!iterate_resume}
+    looped from {!iterate_start} until the iteration ends. Performs the
     iteration's shared-memory steps through the runtime, so it must run
-    inside an executor fiber. *)
+    inside an executor fiber (or under
+    {!Setsync_runtime.Fiber.inline}). *)
 
 val forever : process -> unit
 (** [repeat forever iterate] — the algorithm as written. *)
@@ -76,27 +78,34 @@ val local_accusation : process -> set_index:int -> int
 val local_timeout : process -> set_index:int -> int
 (** Current [timeout[A]]. *)
 
-(** {2 Machine form} — explicit-PC version of {!iterate} for the
-    snapshot exploration engine (one-shot fiber continuations cannot
-    be copied into savepoints). Steps perform exactly the register
-    operations the fiber form's steps perform, in the same order, so
-    footprints and snapshots coincide across both forms. *)
+(** {2 Machine form} — the algorithm's only implementation: Figure 2's
+    loop body as an explicit program counter plus a resume function
+    that performs one shared atomic per call through
+    {!Setsync_runtime.Shm}. {!iterate} loops it inside a fiber, where
+    each atomic suspends until the next granted step; the snapshot
+    exploration engine calls it under {!Setsync_runtime.Fiber.inline}
+    and keeps the PC in its savepoints (one-shot fiber continuations
+    cannot be copied). Both forms run the same code per step, so
+    footprints and snapshots coincide by construction. *)
 
 type mpc
 (** Program counter: the shared-memory atomic just performed, with its
-    pending result. *)
+    pending result, or the end of an iteration. *)
 
 val iterate_start : process -> mpc
 (** Begin an iteration: performs its first atomic (the [Counter[0][0]]
     read of line 2). *)
 
-val iterate_resume : process -> mpc -> mpc option
+val iterate_resume : process -> mpc -> mpc
 (** Run the local code following [pc]'s atomic, then perform the next
-    atomic of the iteration. [None] means the iteration's trailing
-    local code ran and {e no} atomic was performed — the caller owns
-    the step's atomic (start the next iteration, or move on, within
-    the same step), mirroring how a fiber step spans the code between
-    two atomics. *)
+    atomic of the iteration. A result satisfying {!iteration_ended}
+    means the iteration's trailing local code ran and {e no} atomic was
+    performed — the caller owns the step's atomic (start the next
+    iteration, or move on, within the same step), mirroring how a
+    fiber step spans the code between two atomics. Raises
+    [Invalid_argument] on an ended PC. *)
+
+val iteration_ended : mpc -> bool
 
 val save_process : process -> unit -> unit
 (** Capture all local variables; the returned thunk restores them. *)

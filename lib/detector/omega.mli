@@ -24,9 +24,6 @@ val make_process :
 
 val create_shared : Setsync_memory.Store.t -> n:int -> t:int -> Kanti_omega.shared
 
-val iterate : process -> unit
-(** One loop iteration (from inside an executor fiber). *)
-
 val forever : process -> unit
 
 val leader : process -> Setsync_schedule.Proc.t

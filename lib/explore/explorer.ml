@@ -14,7 +14,8 @@ module Json = Setsync_obs.Json
 
 (* Machine form of a system: explicit-PC step functions over the same
    store, for the snapshot engine (fiber continuations are one-shot
-   and cannot be copied into savepoints). *)
+   and cannot be copied into savepoints). Steps access registers
+   through [Shm] and run under [Fiber.inline]. *)
 type minstance = {
   m_step : Proc.t -> unit;
   m_halted : Proc.t -> bool;
@@ -1021,7 +1022,7 @@ let mc_step c ~global p =
   (match c.mc_inst.substrate with
   | Some s -> Setsync_runtime.Substrate.pre_step s ~global ~proc:p
   | None -> ());
-  c.mc_m.m_step p;
+  Setsync_runtime.Fiber.inline c.mc_m.m_step p;
   c.mc_machine_steps <- c.mc_machine_steps + 1;
   if c.mc_m.m_halted p then c.mc_halted.(p) <- true;
   c.mc_steps_of.(p) <- c.mc_steps_of.(p) + 1;

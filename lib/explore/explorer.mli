@@ -31,9 +31,11 @@
 type minstance = {
   m_step : Setsync_schedule.Proc.t -> unit;
       (** one step of the given process: the local code since its
-          previous shared-memory atomic plus the next atomic — exactly
-          the register operations the fiber form's step performs, in
-          the same order, so footprints and snapshots coincide *)
+          previous shared-memory atomic plus the next atomic, performed
+          through {!Setsync_runtime.Shm}. The engine runs it under
+          {!Setsync_runtime.Fiber.inline}, so the atomic happens in
+          place. When [body] is this step looped, footprints and
+          snapshots coincide with the fiber form's by construction *)
   m_halted : Setsync_schedule.Proc.t -> bool;
       (** mirrors the fiber body returning (process halted) *)
   m_save : unit -> unit -> unit;

@@ -69,14 +69,15 @@ let kanti_detector ~params ?initial_timeout () =
            atomic within the same step *)
         let pcs = Array.make n None in
         let m_step p =
-          pcs.(p) <-
-            Some
-              (match pcs.(p) with
-              | None -> Kanti_omega.iterate_start procs.(p)
-              | Some pc -> (
-                  match Kanti_omega.iterate_resume procs.(p) pc with
-                  | Some pc' -> pc'
-                  | None -> Kanti_omega.iterate_start procs.(p)))
+          let pc' =
+            match pcs.(p) with
+            | None -> Kanti_omega.iterate_start procs.(p)
+            | Some pc ->
+                let pc' = Kanti_omega.iterate_resume procs.(p) pc in
+                if Kanti_omega.iteration_ended pc' then Kanti_omega.iterate_start procs.(p)
+                else pc'
+          in
+          pcs.(p) <- Some pc'
         in
         let m_save () =
           let restores = Array.map Kanti_omega.save_process procs in
@@ -125,7 +126,6 @@ let kset_agreement ~problem ~inputs ?initial_timeout () =
     fresh =
       (fun ~store ->
         let solver = Kset_solver.create store ~problem ~inputs ?initial_timeout () in
-        let machine = Kset_solver.machine solver in
         {
           Explorer.body = Kset_solver.body solver;
           observe = (fun () -> { decisions = Kset_solver.decisions solver });
@@ -133,10 +133,10 @@ let kset_agreement ~problem ~inputs ?initial_timeout () =
           machine =
             Some
               {
-                Explorer.m_step = Kset_solver.machine_step machine;
+                Explorer.m_step = Kset_solver.machine_step solver;
                 m_halted = (fun _ -> false);
-                m_save = (fun () -> Kset_solver.machine_save machine);
-                m_payload = Some (Kset_solver.sym_payload machine);
+                m_save = (fun () -> Kset_solver.machine_save solver);
+                m_payload = Some (Kset_solver.sym_payload solver);
                 m_perms = Kset_solver.sym_perms solver;
               };
         });

@@ -57,3 +57,25 @@ let atomic f =
   try Effect.perform (Atomic f)
   with Effect.Unhandled _ ->
     failwith "Fiber.atomic: called outside a fiber (no executor is granting steps)"
+
+(* Same action-at-perform-time discipline as [handler], but the
+   continuation is resumed at once instead of parked: every atomic the
+   computation reaches runs in place, in the caller's step. *)
+let inline_handler =
+  {
+    Effect.Deep.retc = Fun.id;
+    exnc = raise;
+    effc =
+      (fun (type b) (eff : b Effect.t) ->
+        match eff with
+        | Atomic action ->
+            Some
+              (fun (k : (b, _) Effect.Deep.continuation) ->
+                match action () with
+                | result -> Effect.Deep.continue k result
+                | exception e ->
+                    Effect.Deep.discontinue_with_backtrace k e (Printexc.get_raw_backtrace ()))
+        | _ -> None);
+  }
+
+let inline f x = Effect.Deep.match_with f x inline_handler

@@ -31,6 +31,16 @@ val step : t -> outcome
 val is_done : t -> bool
 
 val atomic : (unit -> 'a) -> 'a
-(** To be called from inside a fiber only: perform [f] as this
-    process's next atomic step. Raises [Failure] if called outside a
-    fiber (i.e. with no executor granting steps). *)
+(** To be called from inside a fiber (or {!inline}) only: perform [f]
+    as this process's next atomic step. Raises [Failure] if called
+    outside both (i.e. with no executor granting steps). *)
+
+val inline : ('a -> 'b) -> 'a -> 'b
+(** [inline f x] runs [f x] to completion in the caller's step: every
+    {!atomic} it reaches (hence every {!Shm} access) performs its
+    action at once and continues, with no suspension. This is how an
+    explicit-PC machine step — code written against {!Shm}, one atomic
+    per step by construction — runs outside an executor; the same code
+    run inside a fiber suspends at each atomic instead. An exception
+    from an action is raised at the [atomic] call and propagates out
+    of [inline] unless [f] handles it. *)

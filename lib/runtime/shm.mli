@@ -4,7 +4,11 @@
     registers; each call costs exactly one step of the schedule (one
     atomic action, per §2.3 of the paper). Using
     {!Setsync_memory.Register.read} directly from process code would
-    bypass the step discipline and is reserved for validators. *)
+    bypass the step discipline and is reserved for validators.
+
+    Under {!Fiber.inline} the same calls perform their access at once
+    instead of suspending; that is how explicit-PC machine steps run
+    outside an executor. *)
 
 val read : 'a Setsync_memory.Register.t -> 'a
 (** Atomic read; suspends until the scheduler grants this process a

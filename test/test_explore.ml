@@ -8,7 +8,6 @@ module Store = Setsync_memory.Store
 module Trace = Setsync_memory.Trace
 module Fiber = Setsync_runtime.Fiber
 module Shm = Setsync_runtime.Shm
-module Machine = Setsync_runtime.Machine
 module Run = Setsync_runtime.Run
 module Budget = Setsync_explore.Budget
 module Property = Setsync_explore.Property
@@ -45,7 +44,7 @@ let single_writer_sut () =
               {
                 Explorer.m_step =
                   (fun p ->
-                    if pcs.(p) = 0 then Machine.write r.(p) 1;
+                    if pcs.(p) = 0 then Shm.write r.(p) 1;
                     pcs.(p) <- pcs.(p) + 1);
                 m_halted = (fun p -> pcs.(p) >= 2);
                 m_save =
@@ -85,8 +84,8 @@ let double_writer_sut () =
                 Explorer.m_step =
                   (fun p ->
                     (match pcs.(p) with
-                    | 0 -> Machine.write r.(p) 1
-                    | 1 -> Machine.write r.(p) 2
+                    | 0 -> Shm.write r.(p) 1
+                    | 1 -> Shm.write r.(p) 2
                     | _ -> ());
                     pcs.(p) <- pcs.(p) + 1);
                 m_halted = (fun p -> pcs.(p) >= 3);
@@ -170,14 +169,14 @@ let pipe_sut () =
                   (fun p ->
                     if p = 0 then begin
                       incr i0;
-                      Machine.write ping !i0
+                      Shm.write ping !i0
                     end
                     else if !phase1 = 0 then begin
-                      v1 := Machine.read ping;
+                      v1 := Shm.read ping;
                       phase1 := 1
                     end
                     else begin
-                      Machine.write pong !v1;
+                      Shm.write pong !v1;
                       phase1 := 0
                     end);
                 m_halted = (fun _ -> false);
@@ -1309,6 +1308,42 @@ let test_evaluate_matches_replay () =
 
 (* ------------------------------------------------------------------ *)
 
+(* The k-set solver owns one detector per process, and its machine form
+   steps exactly those: the diagnostics ([fd_iterations]) and the
+   adversary's view read the detectors the machine moves, even with the
+   fiber body built alongside (as an explorer instance builds it).
+   Heartbeat[p] is bumped once per detector iteration (line 7), right
+   after the winnerset is chosen and before the iteration ends, so a
+   process with h heartbeats has completed h or h-1 iterations and has
+   a non-empty winnerset iff h > 0. *)
+let test_kset_machine_single_detector_set () =
+  let module Kset_solver = Setsync_agreement.Kset_solver in
+  let n = 3 in
+  let problem = Setsync_agreement.Problem.make ~t:1 ~k:1 ~n in
+  let store = Store.create () in
+  let solver = Kset_solver.create store ~problem ~inputs:[| 10; 11; 12 |] () in
+  let _body : Proc.t -> unit -> unit = Kset_solver.body solver in
+  let view = Kset_solver.adversary_view solver in
+  let heartbeat p =
+    int_of_string (List.assoc (Printf.sprintf "Heartbeat[%d]" p) (Store.snapshot store))
+  in
+  for step = 0 to 599 do
+    Fiber.inline (Kset_solver.machine_step solver) (step mod n);
+    let iterations = Kset_solver.fd_iterations solver and winnersets = view.winnersets () in
+    for p = 0 to n - 1 do
+      let h = heartbeat p in
+      if iterations.(p) <> h && iterations.(p) <> h - 1 then
+        Alcotest.failf "step %d: p%d wrote %d heartbeats but reports %d iterations" step p h
+          iterations.(p);
+      if Procset.is_empty winnersets.(p) <> (h = 0) then
+        Alcotest.failf "step %d: p%d wrote %d heartbeats but its winnerset is %a" step p h
+          Procset.pp winnersets.(p)
+    done
+  done;
+  Alcotest.(check bool)
+    "every detector iterated" true
+    (Array.for_all (fun i -> i > 0) (Kset_solver.fd_iterations solver))
+
 let () =
   Alcotest.run "setsync_explore"
     [
@@ -1379,6 +1414,8 @@ let () =
             test_engine_snapshot_fingerprint_counts;
           Alcotest.test_case "snapshot: crash plans equivalent" `Quick
             test_engine_snapshot_fault;
+          Alcotest.test_case "snapshot: kset machine steps the reported detectors" `Quick
+            test_kset_machine_single_detector_set;
         ] );
       ( "symmetry",
         [

@@ -60,6 +60,84 @@ let test_atomic_outside_fiber () =
     (Failure "Fiber.atomic: called outside a fiber (no executor is granting steps)")
     (fun () -> ignore (Fiber.atomic (fun () -> 1)))
 
+let test_inline_runs_in_place () =
+  let log = ref [] in
+  let result =
+    Fiber.inline
+      (fun x ->
+        let a =
+          Fiber.atomic (fun () ->
+              log := "first" :: !log;
+              x + 1)
+        in
+        log := "local" :: !log;
+        Fiber.atomic (fun () ->
+            log := "second" :: !log;
+            a * 10))
+      4
+  in
+  Alcotest.(check int) "result" 50 result;
+  Alcotest.(check (list string)) "in program order" [ "second"; "local"; "first" ] !log
+
+let test_inline_exception_propagates () =
+  let after = ref false in
+  Alcotest.check_raises "propagates" (Failure "boom") (fun () ->
+      Fiber.inline
+        (fun () ->
+          let () = Fiber.atomic (fun () -> if true then failwith "boom") in
+          after := true)
+        ());
+  Alcotest.(check bool) "code after the failing atomic never ran" false !after
+
+(* One program, two drivers: as an executor fiber, and as a machine —
+   an explicit PC whose step performs one [Shm] operation — run one
+   step at a time under [Fiber.inline]. After every step both leave
+   the same trace entries (including the untraced pause step). *)
+let test_inline_trace_matches_executor () =
+  let trace_per_step drive =
+    let trace = Setsync_memory.Trace.create ~capacity:64 in
+    let store = Store.create ~trace () in
+    let r = Store.register store ~pp:Fmt.int ~name:"r" 7 in
+    let w = Store.register store ~pp:Fmt.int ~name:"w" 0 in
+    let seen = ref [] in
+    let snap () =
+      seen :=
+        List.map (Fmt.to_to_string Setsync_memory.Trace.pp_entry)
+          (Setsync_memory.Trace.entries trace)
+        :: !seen
+    in
+    drive ~r ~w ~snap;
+    List.rev !seen
+  in
+  let fiber ~r ~w ~snap =
+    let body _ () =
+      let v = Shm.read r in
+      Shm.write w (v + 1);
+      Shm.pause ();
+      ignore (Shm.read w)
+    in
+    let source ~live = Generators.round_robin ~live ~n:1 () in
+    ignore (Executor.run ~n:1 ~source ~max_steps:4 ~on_step:(fun ~global:_ ~proc:_ -> snap ()) body)
+  in
+  let machine ~r ~w ~snap =
+    let v = ref 0 in
+    let step = function
+      | 0 -> v := Shm.read r
+      | 1 -> Shm.write w (!v + 1)
+      | 2 -> Shm.pause ()
+      | _ -> ignore (Shm.read w)
+    in
+    for pc = 0 to 3 do
+      Fiber.inline step pc;
+      snap ()
+    done
+  in
+  let expected = trace_per_step fiber in
+  Alcotest.(check int) "four steps" 4 (List.length expected);
+  Alcotest.(check int) "three traced operations" 3 (List.length (List.nth expected 3));
+  Alcotest.(check (list (list string))) "same entries after every step" expected
+    (trace_per_step machine)
+
 (* ------------------------------------------------------------------ *)
 (* Fault *)
 
@@ -310,6 +388,10 @@ let () =
           Alcotest.test_case "empty body" `Quick test_fiber_empty_body;
           Alcotest.test_case "exception propagates" `Quick test_fiber_exception_propagates;
           Alcotest.test_case "atomic outside fiber" `Quick test_atomic_outside_fiber;
+          Alcotest.test_case "inline runs atomics in place" `Quick test_inline_runs_in_place;
+          Alcotest.test_case "inline exception propagates" `Quick test_inline_exception_propagates;
+          Alcotest.test_case "inline trace matches executor" `Quick
+            test_inline_trace_matches_executor;
         ] );
       ( "fault",
         [
